@@ -1,8 +1,10 @@
 """Command-line surface over the library with stable file formats.
 
 Reports are line-oriented ``KEY: value`` text (or one JSON document with
---json).  Exit codes: 0 when the command reached its verdict and every
-check passed, 1 for domain failures with a diagnosis, 2 for usage errors.
+--json, where a key that occurs more than once maps to the list of its
+values in order).  Exit codes: 0 when the command reached its verdict and
+every check passed, 1 for domain failures with a diagnosis, 2 for usage
+errors.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import constructions as cons
@@ -60,8 +63,15 @@ class Report:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
+            counts = Counter(key for key, _ in self.lines)
+            report: dict[str, str | list[str]] = {}
+            for key, value in self.lines:
+                if counts[key] > 1:
+                    report.setdefault(key, []).append(value)
+                else:
+                    report[key] = value
             doc = {
-                "report": {k: v for k, v in self.lines},
+                "report": report,
                 "checks": {name: ("PASS" if ok else "FAIL") for name, ok in self.checks},
                 "artifacts": self.artifacts,
             }
@@ -356,7 +366,7 @@ def run(argv: list[str]) -> int:
             matrix = _read_matrix(args.matrix)
             table = _read_table(matrix, args.table)
             report.add("DEPTH", table.depth)
-            report.add("ENTRIES", len(table.entries))
+            report.add("ENTRIES", table.entry_count())
             report.add("RESULT", "valid")
         elif args.command == "compose":
             matrix = _read_matrix(args.matrix)
@@ -502,7 +512,7 @@ def run(argv: list[str]) -> int:
             matrix = _read_matrix(args.matrix)
             table = _read_table(matrix, args.table)
             report.add("DEPTH", table.depth)
-            report.add("ENTRIES", len(table.entries))
+            report.add("ENTRIES", table.entry_count())
             report.add("RESULT", "valid")
             support, fixed = table.support_and_fixed()
             report.add("SUPPORT", _clopen_summary(support))

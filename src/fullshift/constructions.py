@@ -37,7 +37,7 @@ from .sft import (
     format_word,
     point_in,
 )
-from .tables import TableMap, validate_table
+from .tables import TableMap, validate_images
 
 _SHRINK_CAP = 64
 
@@ -48,8 +48,23 @@ def _incomparable(a: Word, b: Word) -> bool:
 
 
 def _checked_order(table: TableMap, bound: int) -> int | None:
-    cap = max(4096, 6 * len(table.entries))
+    cap = max(4096, 6 * table.entry_count())
     return table.order(bound, entry_cap=cap)
+
+
+def _cylinder_table(matrix: TransitionMatrix, moves: dict[Word, Word]) -> TableMap:
+    """The table carrying each cylinder in `moves` onto the cylinder of its
+    image and fixing the rest.  Its code is the moved words plus, along
+    the path to each, the sibling words the path passes."""
+    code = dict(moves)
+    path = {w[:k] for w in moves for k in range(len(w))}
+    for p in path:
+        for a in matrix.successors(p[-1]) if p else matrix.symbols():
+            w = p + (a,)
+            if w not in path and w not in code:
+                code[w] = w
+    validate_images(matrix, code)
+    return TableMap(matrix, max(map(len, moves)), code)
 
 
 def cylinder_swap(matrix: TransitionMatrix, a: Word, b: Word) -> TableMap:
@@ -58,20 +73,7 @@ def cylinder_swap(matrix: TransitionMatrix, a: Word, b: Word) -> TableMap:
         raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
     if matrix.row(a[-1]) != matrix.row(b[-1]):
         raise BadInput("cylinder ends have different follower rows")
-    depth = max(len(a), len(b))
-    if matrix.word_count(depth) > 2_000_000:
-        raise SearchLimitExceeded(
-            f"a depth-{depth} table would need {matrix.word_count(depth)} entries"
-        )
-    entries = {}
-    for w in matrix.words(depth):
-        if w[: len(a)] == a:
-            entries[w] = b + w[len(a):]
-        elif w[: len(b)] == b:
-            entries[w] = a + w[len(b):]
-        else:
-            entries[w] = w
-    return validate_table(matrix, entries)
+    return _cylinder_table(matrix, {a: b, b: a})
 
 
 def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
@@ -85,17 +87,9 @@ def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
                 raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
         if matrix.row(a[-1]) != matrix.row(words[0][-1]):
             raise BadInput("cylinder ends have different follower rows")
-    depth = max(len(w) for w in words)
-    nxt = {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
-    entries = {}
-    for w in matrix.words(depth):
-        for src in words:
-            if w[: len(src)] == src:
-                entries[w] = nxt[src] + w[len(src):]
-                break
-        else:
-            entries[w] = w
-    return validate_table(matrix, entries)
+    return _cylinder_table(
+        matrix, {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
+    )
 
 
 def _proper_subcylinder(clopen: ClopenSet) -> ClopenSet:
@@ -174,40 +168,29 @@ def matched_partition(
 
     A table map carries each sufficiently deep cylinder onto a cylinder by
     a prefix rewrite; this extracts that matched family at the shallowest
-    depths it holds, re-merging sibling pairs wherever the rewrite is
-    coherent one level up.
+    depths it holds.  Walking down from the root, a word inside u is taken
+    as soon as it has length >= min_len and the reduced code of gamma
+    rewrites it onto an image of length >= min_len, and in any case at
+    depth max(gamma.depth, u.depth, min_len).  Pairs whose image is still
+    shorter than min_len are then split into their children.
     """
     matrix = gamma.matrix
+    g = gamma.reduce()
     depth = max(gamma.depth, u.depth, min_len)
-    refined = gamma.refine_to(depth)
-    pairs = {
-        nu: rho for nu, rho in refined.entries.items() if u.contains_word(nu)
-    }
-    changed = True
-    while changed:
-        changed = False
-        families: dict[Word, list[Word]] = {}
-        for nu in pairs:
-            if len(nu) > min_len:
-                families.setdefault(nu[:-1], []).append(nu)
-        for parent, members in sorted(families.items()):
-            kids = {nu[-1] for nu in members}
-            if kids != set(matrix.successors(parent[-1])):
+    pairs: dict[Word, Word] = {}
+    stack = [EMPTY_WORD]
+    while stack:
+        nu = stack.pop()
+        if not u.meets_word(nu):
+            continue
+        if len(nu) >= min_len:
+            rho = g.word_image(nu)
+            if len(nu) == depth or (
+                rho is not None and len(rho) >= min_len and u.contains_word(nu)
+            ):
+                pairs[nu] = rho
                 continue
-            images = {pairs[nu][:-1] for nu in members}
-            if len(images) != 1:
-                continue
-            rho = images.pop()
-            if len(rho) < min_len:
-                continue
-            if any(pairs[nu][-1] != nu[-1] for nu in members):
-                continue
-            if matrix.row(rho[-1]) != matrix.row(parent[-1]):
-                continue
-            for nu in members:
-                del pairs[nu]
-            pairs[parent] = rho
-            changed = True
+        stack.extend(nu + (a,) for a in (matrix.successors(nu[-1]) if nu else matrix.symbols()))
     while any(len(rho) < min_len for rho in pairs.values()):
         for nu, rho in sorted(pairs.items()):
             if len(rho) < min_len:
@@ -575,25 +558,31 @@ def check_free_pair(
 
 
 def _disjoint_moved_cylinder(eta: TableMap) -> ClopenSet:
-    """A cylinder Y with eta(Y) disjoint from Y, inside the support of eta."""
+    """A cylinder Y with eta(Y) disjoint from Y, inside the support of eta.
+
+    Tries the moved entries of the reduced table's uniform view in
+    lexicographic order; they are the extensions of the moved code words.
+    """
     g = eta.reduce()
     matrix = g.matrix
-    for nu in sorted(g.entries):
-        rho = g.entries[nu]
-        if rho == nu:
+    for word in sorted(g.code):
+        image = g.code[word]
+        if image == word:
             continue
-        if _incomparable(nu, rho):
-            return cylinder(matrix, nu)
-        # the entry fixes one point of the cylinder; move off its track
-        for extra in range(1, _SHRINK_CAP):
-            found = None
-            for t in matrix.extensions(nu, len(nu) + extra):
-                tail = t[len(nu):]
-                if _incomparable(nu + tail, rho + tail):
-                    found = nu + tail
-                    break
-            if found is not None:
-                return cylinder(matrix, found)
+        for nu in matrix.extensions(word, g.depth):
+            rho = image + nu[len(word):]
+            if _incomparable(nu, rho):
+                return cylinder(matrix, nu)
+            # the entry fixes one point of the cylinder; move off its track
+            for extra in range(1, _SHRINK_CAP):
+                found = None
+                for t in matrix.extensions(nu, len(nu) + extra):
+                    tail = t[len(nu):]
+                    if _incomparable(nu + tail, rho + tail):
+                        found = nu + tail
+                        break
+                if found is not None:
+                    return cylinder(matrix, found)
     raise SearchLimitExceeded("no moved cylinder found; is the element trivial?")
 
 

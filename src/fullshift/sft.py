@@ -35,16 +35,13 @@ class TransitionMatrix:
     use :func:`validate_matrix` to build one from raw rows.
     """
 
-    __slots__ = ("n", "entries", "_succ", "_pred", "_cont", "_words")
+    __slots__ = ("n", "entries", "_succ", "_cont", "_words")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         self.n = len(entries)
         self.entries = entries
         self._succ = (None,) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
-        )
-        self._pred = (None,) + tuple(
-            tuple(i + 1 for i in range(self.n) if entries[i][j]) for j in range(self.n)
         )
         self._cont: dict[tuple[int, int], int] = {}
         self._words: dict[int, tuple[Word, ...]] = {}
@@ -66,9 +63,6 @@ class TransitionMatrix:
 
     def successors(self, i: int) -> tuple[int, ...]:
         return self._succ[i]
-
-    def predecessors(self, j: int) -> tuple[int, ...]:
-        return self._pred[j]
 
     def symbols(self) -> range:
         return range(1, self.n + 1)
@@ -574,8 +568,11 @@ def parse_point(text: str) -> EPPoint:
     if "|" not in text:
         raise BadInput(f"point syntax is pre|per, got {text!r}")
     pre_txt, per_txt = text.split("|", 1)
-    pre = tuple(int(t) for t in pre_txt.split(",") if t.strip()) if pre_txt.strip() else ()
-    per = tuple(int(t) for t in per_txt.split(",") if t.strip())
+    try:
+        pre = tuple(int(t) for t in pre_txt.split(",") if t.strip())
+        per = tuple(int(t) for t in per_txt.split(",") if t.strip())
+    except ValueError:
+        raise BadInput(f"bad point {text!r}: symbols must be integers") from None
     if not per:
         raise BadInput("period part of a point must be nonempty")
     return EPPoint.make(pre, per)

@@ -173,6 +173,93 @@ def maps_agree_oracle(t1: TableMap, t2: TableMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# uniform-table oracles: group arithmetic written out over every word of one
+# depth, as (depth, entries) pairs, independent of the prefix-code form
+
+
+def uniform_reduce_oracle(matrix: TransitionMatrix, depth: int, entries: dict):
+    """Strip whole levels while every sibling family merges."""
+    while depth > 0:
+        merged: dict = {}
+        ok = True
+        for nu, rho in entries.items():
+            if not rho or rho[-1] != nu[-1]:
+                ok = False
+                break
+            parent, img = nu[:-1], rho[:-1]
+            prev = merged.get(parent)
+            if prev is None:
+                merged[parent] = img
+            elif prev != img:
+                ok = False
+                break
+        if not ok:
+            break
+        if depth == 1:
+            if merged != {(): ()}:
+                break
+        elif any(
+            not img or matrix.row(img[-1]) != matrix.row(p[-1]) for p, img in merged.items()
+        ):
+            break
+        entries = merged
+        depth -= 1
+    return depth, entries
+
+
+def _uniform_refine(matrix: TransitionMatrix, pairs, depth: int) -> dict:
+    out = {}
+    for nu, rho in pairs:
+        for w in matrix.extensions(nu, depth):
+            out[w] = rho + w[len(nu):]
+    return out
+
+
+def uniform_compose_oracle(outer: TableMap, inner: TableMap):
+    """outer after inner from the two uniform views, reduced."""
+    matrix = outer.matrix
+    outer_depth, outer_entries = outer.depth, outer.entries
+    flat = []
+    for nu, rho in sorted(inner.entries.items()):
+        stack = [(nu, rho)]
+        while stack:
+            n, r = stack.pop()
+            if len(r) >= outer_depth:
+                flat.append((n, outer_entries[r[:outer_depth]] + r[outer_depth:]))
+                continue
+            last = r[-1] if r else (n[-1] if n else None)
+            succ = matrix.successors(last) if last else matrix.symbols()
+            for a in reversed(tuple(succ)):
+                stack.append((n + (a,), r + (a,)))
+    depth = max(len(n) for n, _ in flat)
+    return uniform_reduce_oracle(matrix, depth, _uniform_refine(matrix, flat, depth))
+
+
+def uniform_inverse_oracle(table: TableMap):
+    """The reversed uniform view, refined to the longest image."""
+    rev = [(rho, nu) for nu, rho in table.entries.items()]
+    depth = max(len(r) for r, _ in rev)
+    return depth, _uniform_refine(table.matrix, rev, depth)
+
+
+def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
+    """Least k <= bound with the k-th power trivial, by repeated uniform
+    composition, with the same cap on power sizes as TableMap.order."""
+    matrix = table.matrix
+    g = TableMap(matrix, *uniform_reduce_oracle(matrix, table.depth, dict(table.entries)))
+    if all(v == w for w, v in g.entries.items()):
+        return 1
+    acc = g
+    for k in range(2, bound + 1):
+        acc = TableMap(matrix, *uniform_compose_oracle(g, acc))
+        if all(v == w for w, v in acc.entries.items()):
+            return k
+        if len(acc.entries) > entry_cap:
+            return None
+    return None
+
+
+# ---------------------------------------------------------------------------
 # cokernel enumeration oracle (independent of elimination)
 
 

@@ -241,3 +241,36 @@ def test_construct_rejects_inadmissible_point(files, tmp_path, capsys):
     )
     assert code == 1
     assert "not admissible" in capsys.readouterr().out
+
+
+def test_repeated_table_line_rejected(files, tmp_path, capsys):
+    path = tmp_path / "twice.tbl"
+    path.write_text("L 1\n1 -> 2\n1 -> 1\n2 -> 2\n")
+    assert run(["table-validate", files["full2.mat"], str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ERROR: BadInput" in out
+    assert "domain word 1 appears twice" in out
+
+
+def test_construct_bad_point_is_diagnosed(files, capsys):
+    code = run(
+        [
+            "construct", "2.1", files["full2.mat"],
+            "--U", files["u1.clo"], "--Y", files["u2.clo"],
+            "--x", "a|1",
+        ]
+    )
+    assert code == 1
+    assert "ERROR: BadInput: bad point 'a|1'" in capsys.readouterr().out
+
+
+def test_json_repeated_keys_become_lists(files, capsys):
+    assert run(["words", files["full2.mat"], "3"]) == 0
+    text = capsys.readouterr().out
+    assert run(["--json", "words", files["full2.mat"], "3"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    words = [ln.split(": ", 1)[1] for ln in text.splitlines() if ln.startswith("WORD: ")]
+    assert len(words) == 8
+    assert report["WORD"] == words
+    assert report["COUNT"] == "8"
+    assert report["COMMAND"] == "words"

@@ -22,13 +22,23 @@ from fullshift.tables import format_table_text, parse_table_text
 
 from helpers import (
     DENSE3,
+    DENSE4,
     FULL2,
+    FULL3,
     GOLDEN,
+    GOLDEN_REV,
     POOL,
+    RING3,
+    RING4,
+    completion_points,
     enumerate_points,
     maps_agree_oracle,
     random_clopen,
     random_table,
+    uniform_compose_oracle,
+    uniform_inverse_oracle,
+    uniform_order_oracle,
+    uniform_reduce_oracle,
 )
 
 SWAP = validate_table(FULL2, {(1,): (2,), (2,): (1,)})
@@ -258,3 +268,57 @@ def test_reduce_exhaustive_on_small_tables():
             validate_table(matrix, r.entries)
             assert r.reduce() == r
             assert maps_agree_oracle(t, r)
+
+
+def _assert_matches_oracle(table, depth, entries):
+    assert table.depth == depth
+    assert table.entries == entries
+    oracle = validate_table(table.matrix, entries) if depth else TableMap.identity(table.matrix)
+    assert format_table_text(table) == format_table_text(oracle)
+    if depth <= 4:
+        assert maps_agree_oracle(table, oracle)
+    else:
+        # words of length 2 * depth + 2 are too many: test every cylinder
+        for w in entries:
+            for x in completion_points(table.matrix, w):
+                assert table.apply(x) == oracle.apply(x)
+
+
+def test_sparse_arithmetic_matches_uniform_oracle_on_enumerated_tables():
+    from fullshift.constructions import enumerate_tables
+
+    rng = random.Random(31)
+    for matrix in (FULL2, GOLDEN):
+        tables = list(enumerate_tables(matrix, 2, 3))
+        for t in tables:
+            _assert_matches_oracle(
+                t.reduce(), *uniform_reduce_oracle(matrix, t.depth, dict(t.entries))
+            )
+            _assert_matches_oracle(t.inverse(), *uniform_inverse_oracle(t))
+            assert t.order(6) == uniform_order_oracle(t, 6)
+        for _ in range(150):
+            a, b = rng.choice(tables), rng.choice(tables)
+            _assert_matches_oracle(a.compose(b), *uniform_compose_oracle(a, b))
+
+
+def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
+    from fullshift.constructions import free_pair
+
+    pool = [FULL2, GOLDEN, GOLDEN_REV, FULL3, RING3, DENSE3, RING4, DENSE4]
+    for matrix in pool:
+        psi, phi, _ = free_pair(cylinder(matrix, (1,)))
+        for t in (psi, phi):
+            _assert_matches_oracle(
+                t.reduce(), *uniform_reduce_oracle(matrix, t.depth, dict(t.entries))
+            )
+            inverse = t.inverse()
+            # the uniform inverse of phi has 3^12 words on FULL3: too big to write out
+            if inverse.entry_count() <= 20_000:
+                _assert_matches_oracle(inverse, *uniform_inverse_oracle(t))
+            assert inverse.compose(t).is_identity
+        _assert_matches_oracle(psi.compose(phi), *uniform_compose_oracle(psi, phi))
+        _assert_matches_oracle(phi.compose(phi), *uniform_compose_oracle(phi, phi))
+        assert psi.order(3) == uniform_order_oracle(psi, 3) == 2
+        # the default cap stops the oracle after phi^2 on FULL3
+        assert phi.order(4) == uniform_order_oracle(phi, 4)
+        assert phi.order(4, entry_cap=6 * phi.entry_count()) == 3
