@@ -9,11 +9,14 @@ functions re-derive every displayed condition of the corresponding
 statement through public operations only.
 
 The module also hosts the bounded exhaustive search over valid tables,
-used both as a decision fallback and as an independent cross-check.
+:func:`search_tables`, a generator in a fixed order whose pruning drops
+only dead ends.  It serves as a decision fallback and as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -45,11 +48,6 @@ _SHRINK_CAP = 64
 def _incomparable(a: Word, b: Word) -> bool:
     k = min(len(a), len(b))
     return a[:k] != b[:k]
-
-
-def _checked_order(table: TableMap, bound: int) -> int | None:
-    cap = max(4096, 6 * table.entry_count())
-    return table.order(bound, entry_cap=cap)
 
 
 def _cylinder_table(matrix: TransitionMatrix, moves: dict[Word, Word]) -> TableMap:
@@ -151,7 +149,7 @@ def check_involution_into(
         ("x in V", neighbourhood.contains_point(x)),
         ("V inside source", neighbourhood.is_subset_of(source)),
         ("alpha(V) inside target", image.is_subset_of(target)),
-        ("alpha has order 2", _checked_order(alpha, 2) == 2),
+        ("alpha has order 2", alpha.order(2) == 2),
         ("support inside V and alpha(V)", alpha.support().is_subset_of(neighbourhood.union(image))),
     ]
 
@@ -225,7 +223,7 @@ def check_swap_involution(
 ) -> list[tuple[str, bool]]:
     return [
         ("alpha(U) = V", alpha.image_clopen(u) == v),
-        ("alpha has order 2", _checked_order(alpha, 2) == 2),
+        ("alpha has order 2", alpha.order(2) == 2),
         ("identity outside U and V", alpha.support().is_subset_of(u.union(v))),
     ]
 
@@ -275,7 +273,7 @@ def check_cylinder_involution(
     image = alpha.image_clopen(source)
     return [
         ("alpha(U_nu) inside V", image.is_subset_of(target)),
-        ("alpha has order 2", _checked_order(alpha, 2) == 2),
+        ("alpha has order 2", alpha.order(2) == 2),
         ("support inside U_nu and alpha(U_nu)", alpha.support().is_subset_of(source.union(image))),
     ]
 
@@ -331,7 +329,7 @@ def check_clopen_transport(
     image = alpha.image_clopen(source)
     return [
         ("alpha(U) inside W", image.is_subset_of(target)),
-        ("alpha has order 2", _checked_order(alpha, 2) == 2),
+        ("alpha has order 2", alpha.order(2) == 2),
         ("support inside U and alpha(U)", alpha.support().is_subset_of(source.union(image))),
     ]
 
@@ -439,8 +437,8 @@ def check_paired_transport(
         ("beta_i(V_i) inside W'", all(img.is_subset_of(w2) for img in b_images)),
         ("alpha images pairwise disjoint", a_disjoint),
         ("beta images pairwise disjoint", b_disjoint),
-        ("alpha_i are involutions", all(_checked_order(a, 2) == 2 for a in alphas)),
-        ("beta_i are involutions", all(_checked_order(b, 2) == 2 for b in betas)),
+        ("alpha_i are involutions", all(a.order(2) == 2 for a in alphas)),
+        ("beta_i are involutions", all(b.order(2) == 2 for b in betas)),
         ("alpha_i local to O", all(a.in_local_subgroup(region) for a in alphas)),
         ("beta_i local to complement", all(b.in_local_subgroup(complement) for b in betas)),
     ]
@@ -543,8 +541,8 @@ def check_free_pair(
     phi_f = phi.image_clopen(base)
     phi2_f = phi.image_clopen(phi_f)
     return [
-        ("psi has order 2", _checked_order(psi, 3) == 2),
-        ("phi has order 3", _checked_order(phi, 4) == 3),
+        ("psi has order 2", psi.order(3) == 2),
+        ("phi has order 3", phi.order(4) == 3),
         ("psi supported in O", psi.in_local_subgroup(region)),
         ("phi supported in O", phi.in_local_subgroup(region)),
         ("F nonempty inside O", (not base.is_empty) and base.is_subset_of(region)),
@@ -660,18 +658,114 @@ def check_split_invariant(
 def _candidate_images(
     matrix: TransitionMatrix, last: int, image_bound: int
 ) -> list[Word]:
-    out = []
-    for k in range(1, image_bound + 1):
-        out.extend(w for w in matrix.words(k) if matrix.row(w[-1]) == matrix.row(last))
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    """Every admissible word of length 1..image_bound whose last symbol has
+    the row of `last`, ordered by (length, word)."""
+    row = matrix.row(last)
+    return [
+        w for k in range(1, image_bound + 1) for w in matrix.words(k) if matrix.row(w[-1]) == row
+    ]
 
 
-def _leaf_mask(matrix: TransitionMatrix, word: Word, leaves: dict[Word, int], top: int) -> int:
-    mask = 0
-    for w in matrix.extensions(word, top):
-        mask |= 1 << leaves[w]
-    return mask
+def search_tables(
+    matrix: TransitionMatrix,
+    depth_bound: int,
+    image_bound: int,
+    candidate_filter: Callable[[Word], Sequence[Word]] | None = None,
+) -> Iterator[TableMap]:
+    """Every valid table within the bounds, the identity first.
+
+    Tables come in a fixed deterministic order: by increasing depth, the
+    domain words assigned images in lexicographic order, with candidate
+    images ordered by (length, word), or in the order `candidate_filter`
+    returns them for a domain word.  A depth-d table is a choice of one
+    candidate per depth-d word whose image cylinders partition the space;
+    each candidate is a bitset over the words of length image_bound (the
+    leaves) it covers, so the choices must be pairwise disjoint and cover
+    all n_leaves leaves.  Two exact rules cut the backtracking:
+
+    * reach[i] is the bitset of leaf counts that domain words i..n-1 could
+      still cover together, one candidate each, ignoring overlaps.  A
+      choice at position i is kept only when reach[i+1] holds the number
+      of leaves it leaves free.
+    * The last domain word scans no candidates: the leaves still free must
+      be exactly one candidate's cylinder, looked up by its bitset.
+
+    Both rules drop only branches holding no complete table, so the
+    sequence of tables is the one plain backtracking would give.
+    """
+    yield TableMap.identity(matrix)
+    top = image_bound
+    if matrix.word_count(top) > 1_000_000:
+        raise BadInput(
+            f"image bound {top} spans {matrix.word_count(top)} cylinders; "
+            "search bookkeeping would not fit"
+        )
+    leaves = matrix.words(top)
+    n_leaves = len(leaves)
+    full = (1 << n_leaves) - 1
+    masks: dict[Word, tuple[int, int]] = {}
+
+    def mask_of(word: Word) -> tuple[int, int]:
+        """The leaves under word as a bitset, and how many there are: the
+        extensions of word to length top are a run of the sorted leaves."""
+        entry = masks.get(word)
+        if entry is None:
+            count = matrix.continuation_count(word[-1], top - len(word))
+            entry = masks[word] = (((1 << count) - 1) << bisect_left(leaves, word), count)
+        return entry
+
+    base: dict[int, list[Word]] = {}
+    for depth in range(1, depth_bound + 1):
+        domain = matrix.words(depth)
+        n = len(domain)
+        per_word: list[list[tuple[Word, int, int]]] = []
+        for nu in domain:
+            if candidate_filter is not None:
+                cands = candidate_filter(nu)
+            else:
+                cands = base.get(nu[-1])
+                if cands is None:
+                    cands = base[nu[-1]] = _candidate_images(matrix, nu[-1], image_bound)
+            per_word.append([(w, *mask_of(w)) for w in cands])
+        reach = [0] * (n + 1)
+        reach[n] = 1
+        for i in range(n - 1, -1, -1):
+            for size in {size for _, _, size in per_word[i]}:
+                reach[i] |= reach[i + 1] << size
+            reach[i] &= (full << 1) | 1
+        if not reach[0] >> n_leaves & 1:
+            continue
+        # distinct candidates have distinct cylinders: one cylinder with two
+        # row-equal words needs a cycle of forced symbols, which condition
+        # (I) rules out; so a leaf set names at most one closing candidate
+        closing = {m: w for w, m, _ in per_word[n - 1]}
+        # iterative backtracking: position i tries per_word[i] from nxt[i],
+        # with used[i] the leaves covered by the choices before it
+        assignment: list[Word] = [EMPTY_WORD] * n
+        used = [0] * n
+        nxt = [0] * n
+        i = 0
+        while i >= 0:
+            if i == n - 1:
+                w = closing.get(full ^ used[i])
+                if w is not None:
+                    assignment[i] = w
+                    yield TableMap(matrix, depth, dict(zip(domain, assignment)))
+                i -= 1
+                continue
+            cands, taken, fits = per_word[i], used[i], reach[i + 1]
+            free = n_leaves - taken.bit_count()
+            for j in range(nxt[i], len(cands)):
+                w, m, size = cands[j]
+                if not taken & m and fits >> (free - size) & 1:
+                    assignment[i] = w
+                    nxt[i] = j + 1
+                    i += 1
+                    used[i] = taken | m
+                    nxt[i] = 0
+                    break
+            else:
+                i -= 1
 
 
 def _run_search(
@@ -681,78 +775,14 @@ def _run_search(
     visit: Callable[[TableMap], object],
     candidate_filter: Callable[[Word], Sequence[Word]] | None = None,
 ):
-    """Drive the bounded enumeration of valid tables through a visitor.
-
-    Tables come in a fixed deterministic order: by increasing depth, the
-    domain words assigned images in lexicographic order with candidate
-    images ordered by (length, word).  Exact-cover bookkeeping on the
-    deepest level of image cylinders prunes dead branches.  The first
-    non-None visitor result stops the search and is returned.
-    """
-    result = visit(TableMap.identity(matrix))
-    if result is not None:
-        return result
-    top = image_bound
-    if matrix.word_count(top) > 1_000_000:
-        raise BadInput(
-            f"image bound {top} spans {matrix.word_count(top)} cylinders; "
-            "search bookkeeping would not fit"
-        )
-    leaves = {w: i for i, w in enumerate(matrix.words(top))}
-    n_leaves = len(leaves)
-    full = (1 << n_leaves) - 1
-    mask_cache: dict[Word, int] = {}
-
-    def mask_of(word: Word) -> int:
-        m = mask_cache.get(word)
-        if m is None:
-            m = _leaf_mask(matrix, word, leaves, top)
-            mask_cache[word] = m
-        return m
-
-    base_candidates: dict[int, list[Word]] = {}
-    for depth in range(1, depth_bound + 1):
-        domain = list(matrix.words(depth))
-        n = len(domain)
-        per_word: list[list[tuple[Word, int]]] = []
-        for nu in domain:
-            if candidate_filter is None:
-                cands = base_candidates.get(nu[-1])
-                if cands is None:
-                    cands = _candidate_images(matrix, nu[-1], image_bound)
-                    base_candidates[nu[-1]] = cands
-            else:
-                cands = candidate_filter(nu)
-            per_word.append([(w, mask_of(w)) for w in cands])
-        # tightest cover each remaining word could still grab, as suffix sums
-        best_cover = [
-            max((m.bit_count() for _, m in cands), default=0) for cands in per_word
-        ]
-        suffix_cover = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix_cover[i] = suffix_cover[i + 1] + best_cover[i]
-        assignment: list[Word] = [EMPTY_WORD] * n
-
-        def backtrack(i: int, used: int):
-            if i == n:
-                if used == full:
-                    return visit(TableMap(matrix, depth, dict(zip(domain, assignment))))
-                return None
-            free = n_leaves - used.bit_count()
-            if free < n - i or free > suffix_cover[i]:
-                return None
-            for word, mask in per_word[i]:
-                if used & mask:
-                    continue
-                assignment[i] = word
-                found = backtrack(i + 1, used | mask)
-                if found is not None:
-                    return found
-            return None
-
-        found = backtrack(0, 0)
-        if found is not None:
-            return found
+    """The first non-None ``visit(table)`` over :func:`search_tables`, else
+    None.  :func:`witness_search` and ``invariants.gamma_equivalent`` both
+    search through here, so the benchmark's traced run (bench/spans.py)
+    wraps this one function to count tables and time the predicates."""
+    for table in search_tables(matrix, depth_bound, image_bound, candidate_filter):
+        result = visit(table)
+        if result is not None:
+            return result
     return None
 
 
@@ -763,7 +793,8 @@ def witness_search(
     image_bound: int,
 ) -> TableMap | None:
     """First valid table satisfying the predicate, in the fixed enumeration
-    order of :func:`_run_search`; None when the bounded space is exhausted.
+    order of :func:`search_tables`; None when the bounded space is
+    exhausted.
     """
     if depth_bound < 1 or image_bound < 1:
         raise BadInput("search bounds must be at least 1")
@@ -777,13 +808,6 @@ def enumerate_tables(
     depth_bound: int,
     image_bound: int,
 ) -> Iterator[TableMap]:
-    """All valid tables within the bounds, in the search order.  Intended
-    for small bounds; materializes the whole list."""
-    out: list[TableMap] = []
-
-    def visit(t: TableMap):
-        out.append(t)
-        return None
-
-    _run_search(matrix, depth_bound, image_bound, visit)
-    return iter(out)
+    """All valid tables within the bounds, in the search order, as a
+    generator: :func:`search_tables` without a filter."""
+    return search_tables(matrix, depth_bound, image_bound)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable
 
 from .errors import BadInput, MatrixMismatch
-from .sft import ClopenSet, TransitionMatrix
+from .sft import ClopenSet, TransitionMatrix, Word
 from .tables import TableMap
 
 ORBIT_CAP = 10**6
@@ -554,43 +555,22 @@ class EquivalenceResult:
     reason: str
 
 
-def gamma_equivalent(
-    u: ClopenSet, v: ClopenSet, depth_bound: int = 2, image_bound: int = 3
-) -> EquivalenceResult:
-    """Decide whether some group element carries one clopen set onto the
-    other, within search bounds.
+def maps_onto_candidates(
+    u: ClopenSet, v: ClopenSet, image_bound: int
+) -> Callable[[Word], list[Word]]:
+    """The candidate filter of the search for a table carrying u onto v.
 
-    Unequal cokernel classes certify a negative (the class is conserved
-    by every table since row-compatible symbols share one class).  Equal
-    classes launch a constrained exact-cover search for a witness; its
-    success is returned with the witness, exhaustion stays undecided.
+    For a domain word nu it keeps, in search order, the candidate images
+    that agree with carrying u onto v: inside u the image cylinder must
+    lie inside v, outside u it must miss v, and a cylinder that straddles
+    u is checked suffix by suffix at u's depth.
     """
-    from .constructions import _run_search, _candidate_images
+    from .constructions import _candidate_images
 
-    if u.matrix != v.matrix:
-        raise MatrixMismatch("clopen sets live over different matrices")
     matrix = u.matrix
-    if u.is_empty or v.is_empty:
-        if u.is_empty and v.is_empty:
-            return EquivalenceResult("equivalent", TableMap.identity(matrix), "both empty")
-        return EquivalenceResult(
-            "not_equivalent", None, "only the empty set is equivalent to the empty set"
-        )
-    if u == v:
-        return EquivalenceResult("equivalent", TableMap.identity(matrix), "equal sets")
-    group, _ = bowen_franks(matrix)
-    cu = clopen_class(u, group)
-    cv = clopen_class(v, group)
-    if cu != cv:
-        return EquivalenceResult(
-            "not_equivalent",
-            None,
-            f"cokernel classes differ: {cu.coords} vs {cv.coords}",
-        )
+    base: dict[int, list[Word]] = {}
 
-    base: dict[int, list] = {}
-
-    def filtered(nu):
+    def filtered(nu: Word) -> list[Word]:
         cands = base.get(nu[-1])
         if cands is None:
             cands = _candidate_images(matrix, nu[-1], image_bound)
@@ -617,12 +597,52 @@ def gamma_equivalent(
                 allowed.append(w)
         return allowed
 
+    return filtered
+
+
+def gamma_equivalent(
+    u: ClopenSet, v: ClopenSet, depth_bound: int = 2, image_bound: int = 3
+) -> EquivalenceResult:
+    """Decide whether some group element carries one clopen set onto the
+    other, within search bounds.
+
+    Unequal cokernel classes certify a negative (the class is conserved
+    by every table since row-compatible symbols share one class).  Equal
+    classes launch a constrained exact-cover search for a witness; its
+    success is returned with the witness, exhaustion stays undecided.
+    """
+    from .constructions import _run_search
+
+    if u.matrix != v.matrix:
+        raise MatrixMismatch("clopen sets live over different matrices")
+    matrix = u.matrix
+    if u.is_empty or v.is_empty:
+        if u.is_empty and v.is_empty:
+            return EquivalenceResult("equivalent", TableMap.identity(matrix), "both empty")
+        return EquivalenceResult(
+            "not_equivalent", None, "only the empty set is equivalent to the empty set"
+        )
+    if u == v:
+        return EquivalenceResult("equivalent", TableMap.identity(matrix), "equal sets")
+    group, _ = bowen_franks(matrix)
+    cu = clopen_class(u, group)
+    cv = clopen_class(v, group)
+    if cu != cv:
+        return EquivalenceResult(
+            "not_equivalent",
+            None,
+            f"cokernel classes differ: {cu.coords} vs {cv.coords}",
+        )
+
     def visit(t: TableMap):
         if t.image_clopen(u) == v:
             return t
         return None
 
-    found = _run_search(matrix, depth_bound, image_bound, visit, candidate_filter=filtered)
+    found = _run_search(
+        matrix, depth_bound, image_bound, visit,
+        candidate_filter=maps_onto_candidates(u, v, image_bound),
+    )
     if found is not None:
         return EquivalenceResult("equivalent", found, "witness found by bounded search")
     return EquivalenceResult(

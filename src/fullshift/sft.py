@@ -279,36 +279,43 @@ def canonicalize_clopen(
 ) -> ClopenSet:
     """Canonical form of a union of cylinders given by arbitrary words.
 
+    With ``trusted`` the words must already be admissible tuples of ints,
+    and are taken as they are; otherwise each is converted and checked.
     Words are padded to the common maximum depth by all admissible
     extensions, then whole levels are merged back while every sibling
     family present is complete.  Inputs denoting the same subset always
     produce equal results.
     """
-    words = set()
-    for w in raw:
-        t = tuple(int(s) for s in w)
-        if not trusted and not matrix.is_admissible(t):
-            raise InadmissibleWord(f"word {t} is not admissible")
-        words.add(t)
+    if trusted:
+        words = set(raw)
+    else:
+        words = set()
+        for w in raw:
+            t = tuple(int(s) for s in w)
+            if not matrix.is_admissible(t):
+                raise InadmissibleWord(f"word {t} is not admissible")
+            words.add(t)
     if not words:
         return ClopenSet(matrix, 0, frozenset())
-    depth = max(len(w) for w in words)
-    if any(len(w) != depth for w in words):
+    depth = max(map(len, words))
+    if min(map(len, words)) != depth:
         padded = set()
         for w in words:
             padded.update(matrix.extensions(w, depth))
         words = padded
+    # each word lies in one sibling family, of at most as many distinct
+    # admissible words as its parent has followers; so every family is
+    # complete exactly when the followers of the parents add up to the words
+    succ = matrix._succ
     while depth > 0:
-        families: dict[Word, set[int]] = {}
-        for w in words:
-            families.setdefault(w[:-1], set()).add(w[-1])
-        mergeable = all(
-            kids == set(matrix.successors(prefix[-1]) if prefix else matrix.symbols())
-            for prefix, kids in families.items()
-        )
-        if not mergeable:
+        parents = {w[:-1] for w in words}
+        if depth == 1:
+            followers = matrix.n
+        else:
+            followers = sum(len(succ[p[-1]]) for p in parents)
+        if followers != len(words):
             break
-        words = set(families)
+        words = parents
         depth -= 1
     return ClopenSet(matrix, depth, frozenset(words))
 
@@ -364,16 +371,26 @@ class EPPoint:
     def make(pre: Sequence[int], per: Sequence[int]) -> "EPPoint":
         pre = tuple(pre)
         per = tuple(per)
-        if not per:
+        p = len(per)
+        if not p:
             raise BadInput("period must be nonempty")
-        for d in range(1, len(per) + 1):
-            if len(per) % d == 0 and per == per[:d] * (len(per) // d):
+        for d in range(1, p):
+            if p % d == 0 and per == per[:d] * (p // d):
                 per = per[:d]
                 break
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        return EPPoint(pre, per)
+        return EPPoint.from_primitive(pre, per)
+
+    @staticmethod
+    def from_primitive(pre: Word, per: Word) -> "EPPoint":
+        """The point pre.per.per... for a primitive period ``per``: the
+        preperiod is rolled into the period as far as it goes."""
+        p, k = len(per), 0
+        while k < len(pre) and pre[-1 - k] == per[(-1 - k) % p]:
+            k += 1
+        if not k:
+            return EPPoint(pre, per)
+        r = p - k % p
+        return EPPoint(pre[: len(pre) - k], per[r:] + per[:r])
 
     def symbol_at(self, i: int) -> int:
         if i < len(self.pre):
@@ -381,14 +398,19 @@ class EPPoint:
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def prefix(self, k: int) -> Word:
-        return tuple(self.symbol_at(i) for i in range(k))
+        pre = self.pre
+        if k <= len(pre):
+            return pre[:k]
+        reps = -(-(k - len(pre)) // len(self.per))
+        return (pre + self.per * reps)[:k]
 
     def shift(self, k: int) -> "EPPoint":
-        """Drop the first k symbols."""
+        """Drop the first k symbols.  A suffix of a canonical preperiod and
+        a rotation of a primitive period are still canonical."""
         if k <= len(self.pre):
-            return EPPoint.make(self.pre[k:], self.per)
+            return EPPoint(self.pre[k:], self.per)
         j = (k - len(self.pre)) % len(self.per)
-        return EPPoint.make(EMPTY_WORD, self.per[j:] + self.per[:j])
+        return EPPoint(EMPTY_WORD, self.per[j:] + self.per[:j])
 
     def sort_key(self) -> tuple:
         return (self.pre, self.per)

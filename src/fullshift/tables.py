@@ -137,7 +137,7 @@ class TableMap:
         if image is None:
             raise InadmissibleWord(f"point prefix {format_word(prefix)} is not admissible")
         tail = point.shift(k)
-        return EPPoint.make(image + tail.pre, tail.per)
+        return EPPoint.from_primitive(image + tail.pre, tail.per)
 
     def word_image(self, word: Word) -> Word | None:
         """Image of the cylinder of word when one domain cylinder holds it."""
@@ -251,7 +251,7 @@ class TableMap:
 
     def order(self, bound: int, entry_cap: int = 4096) -> int | None:
         """Least k <= bound with the k-th power trivial, else None.  Also
-        None once a power's uniform view would exceed entry_cap entries."""
+        None once a power's reduced code has more than entry_cap words."""
         if bound < 1:
             raise BadInput("order bound must be at least 1")
         g = self.reduce()
@@ -262,7 +262,7 @@ class TableMap:
             acc = g.compose(acc)
             if acc.is_identity:
                 return k
-            if acc.entry_count() > entry_cap:
+            if len(acc.code) > entry_cap:
                 return None
         return None
 
@@ -297,13 +297,10 @@ class TableMap:
         reduced or not.
         """
         matrix, code = self.matrix, self.code
-        moved = [nu for nu, rho in code.items() if rho != nu]
         kept = [nu for nu, rho in code.items() if rho == nu]
-        support = canonicalize_clopen(matrix, moved, trusted=True)
         fixed_clopen = canonicalize_clopen(matrix, kept, trusted=True)
         isolated = []
-        for nu in moved:
-            rho = code[nu]
+        for nu, rho in code.items():
             if len(rho) > len(nu) and rho[: len(nu)] == nu:
                 loop = rho[len(nu):]
                 if matrix.arc(loop[-1], loop[0]):
@@ -313,10 +310,12 @@ class TableMap:
                 if matrix.arc(loop[-1], loop[0]):
                     isolated.append(EPPoint.make(rho, loop))
         isolated.sort(key=lambda p: p.sort_key())
-        return support, FixedSet(fixed_clopen, tuple(isolated))
+        return self.support(), FixedSet(fixed_clopen, tuple(isolated))
 
     def support(self) -> ClopenSet:
-        return self.support_and_fixed()[0]
+        """The clopen support alone: the union of the moved domain cylinders."""
+        moved = [nu for nu, rho in self.code.items() if rho != nu]
+        return canonicalize_clopen(self.matrix, moved, trusted=True)
 
     def cocycles(self) -> "CocycleTable":
         return CocycleTable(
@@ -341,7 +340,18 @@ class TableMap:
             raise MatrixMismatch("clopen set lives over a different matrix")
         if clopen.is_empty:
             return clopen
-        out = [image for w in clopen.words for _, image in self._split(w)]
+        # each domain cylinder meets the set in whole cylinders: all of it
+        # when its word is at least as long as the set's words, else the
+        # set's words that extend it
+        depth, words = clopen.depth, clopen.words
+        out = []
+        for nu, rho in self.code.items():
+            k = len(nu)
+            if k >= depth:
+                if nu[:depth] in words:
+                    out.append(rho)
+            else:
+                out.extend(rho + w[k:] for w in words if w[:k] == nu)
         return canonicalize_clopen(self.matrix, out, trusted=True)
 
     def split_invariant(self, region: ClopenSet) -> tuple["TableMap", "TableMap"]:

@@ -160,6 +160,43 @@ def completion_points(matrix: TransitionMatrix, word):
     return out
 
 
+def ep_oracle(pre, per) -> EPPoint:
+    """The canonical point pre.per.per...: the primitive period by a scan
+    over every divisor length, then the preperiod rolled in one symbol at a
+    time."""
+    pre, per = tuple(pre), tuple(per)
+    for d in range(1, len(per) + 1):
+        if len(per) % d == 0 and per == per[:d] * (len(per) // d):
+            per = per[:d]
+            break
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1:] + per[:-1]
+    return EPPoint(pre, per)
+
+
+def ep_prefix_oracle(point: EPPoint, k: int):
+    """The first k symbols, one index at a time."""
+    pre, per = point.pre, point.per
+    return tuple(pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)] for i in range(k))
+
+
+def ep_shift_oracle(point: EPPoint, k: int) -> EPPoint:
+    """The point with its first k symbols dropped, canonicalized again."""
+    pre, per = point.pre, point.per
+    if k <= len(pre):
+        return ep_oracle(pre[k:], per)
+    j = (k - len(pre)) % len(per)
+    return ep_oracle((), per[j:] + per[:j])
+
+
+def ep_apply_oracle(table: TableMap, point: EPPoint) -> EPPoint:
+    """A table's image of a point, read off its uniform view."""
+    tail = ep_shift_oracle(point, table.depth)
+    image = table.entries[ep_prefix_oracle(point, table.depth)]
+    return ep_oracle(image + tail.pre, tail.per)
+
+
 def maps_agree_oracle(t1: TableMap, t2: TableMap) -> bool:
     """Brute-force pointwise equality of two tables: evaluate on completions
     of every word of length L1 + L2 + 2."""
@@ -257,6 +294,57 @@ def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
         if len(acc.entries) > entry_cap:
             return None
     return None
+
+
+def search_order_oracle(matrix: TransitionMatrix, depth_bound: int, image_bound: int,
+                        candidate_filter=None) -> list[TableMap]:
+    """Every valid table within the bounds, in the documented search order,
+    by plain recursive backtracking with only suffix-sum cover bounds."""
+    def candidate_images(last):
+        out = [w for k in range(1, image_bound + 1) for w in matrix.words(k)
+               if matrix.row(w[-1]) == matrix.row(last)]
+        return sorted(out, key=lambda w: (len(w), w))
+
+    out = [TableMap.identity(matrix)]
+    top = image_bound
+    leaves = {w: i for i, w in enumerate(matrix.words(top))}
+    n_leaves = len(leaves)
+    full = (1 << n_leaves) - 1
+
+    def mask_of(word):
+        mask = 0
+        for w in matrix.extensions(word, top):
+            mask |= 1 << leaves[w]
+        return mask
+
+    for depth in range(1, depth_bound + 1):
+        domain = list(matrix.words(depth))
+        n = len(domain)
+        per_word = []
+        for nu in domain:
+            cands = candidate_images(nu[-1]) if candidate_filter is None else candidate_filter(nu)
+            per_word.append([(w, mask_of(w)) for w in cands])
+        best_cover = [max((m.bit_count() for _, m in c), default=0) for c in per_word]
+        suffix_cover = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            suffix_cover[i] = suffix_cover[i + 1] + best_cover[i]
+        assignment = [()] * n
+
+        def backtrack(i, used):
+            if i == n:
+                if used == full:
+                    out.append(TableMap(matrix, depth, dict(zip(domain, assignment))))
+                return
+            free = n_leaves - used.bit_count()
+            if free < n - i or free > suffix_cover[i]:
+                return
+            for word, mask in per_word[i]:
+                if not used & mask:
+                    assignment[i] = word
+                    backtrack(i + 1, used | mask)
+
+        backtrack(0, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

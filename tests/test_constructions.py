@@ -33,13 +33,23 @@ from fullshift.constructions import (
     localize_conjugate,
     minimality_witness,
     paired_transport,
+    search_tables,
     swap_involution,
     witness_search,
 )
 from fullshift.sft import point_in
 from fullshift.tables import validate_table
 
-from helpers import FULL2, GOLDEN, SMALL_POOL, random_clopen
+from helpers import (
+    DENSE3,
+    FULL2,
+    FULL3,
+    GOLDEN,
+    GOLDEN_REV,
+    SMALL_POOL,
+    random_clopen,
+    search_order_oracle,
+)
 
 
 def assert_all(checks):
@@ -236,6 +246,19 @@ def test_enumerate_tables_all_valid():
     # deterministic order
     again = list(enumerate_tables(GOLDEN, 2, 3))
     assert tables == again
+
+
+def test_search_tables_order_matches_oracle():
+    # the pruned generator visits exactly the tables of plain backtracking,
+    # in the same order; DENSE3 is a 3-state matrix that is not full
+    cases = [
+        (FULL2, 2, 3), (FULL2, 2, 5), (FULL2, 3, 3), (GOLDEN, 3, 4),
+        (GOLDEN_REV, 3, 4), (FULL3, 1, 3), (DENSE3, 2, 4),
+    ]
+    for matrix, depth, image in cases:
+        got = [(t.depth, t.code) for t in search_tables(matrix, depth, image)]
+        want = [(t.depth, t.code) for t in search_order_oracle(matrix, depth, image)]
+        assert got == want, (matrix, depth, image)
 
 
 def test_split_invariant_randomized():

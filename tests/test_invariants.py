@@ -14,10 +14,16 @@ from fullshift import (
     smith_normal_form,
     validate_matrix,
 )
-from fullshift.invariants import BFGroup, determinant, shift_determinant
+from fullshift.invariants import (
+    BFGroup,
+    determinant,
+    maps_onto_candidates,
+    shift_determinant,
+)
 
 from helpers import (
     FULL2,
+    DENSE3,
     FULL3,
     GOLDEN,
     POOL,
@@ -28,6 +34,7 @@ from helpers import (
     pointed_match_oracle,
     random_clopen,
     random_matrix,
+    search_order_oracle,
 )
 
 
@@ -254,6 +261,31 @@ def test_gamma_equivalent_witnesses_verify():
         result = gamma_equivalent(u, v, depth_bound=2, image_bound=3)
         if result.status == "equivalent":
             assert result.witness.image_clopen(u) == v
+
+
+def test_gamma_equivalent_witness_matches_search_oracle():
+    # the first table of the documented order that carries u onto v, among
+    # those the maps-onto filter admits; a class certificate means there is none
+    rng = random.Random(91)
+    seen = set()
+    for _ in range(40):
+        # FULL3 has a nontrivial cokernel, so some of its pairs are refuted
+        matrix, depth, image = rng.choice(
+            [(FULL2, 2, 3), (GOLDEN, 2, 3), (DENSE3, 2, 3), (FULL3, 1, 2)]
+        )
+        u = random_clopen(rng, matrix)
+        v = random_clopen(rng, matrix)
+        if u == v:
+            continue
+        result = gamma_equivalent(u, v, depth_bound=depth, image_bound=image)
+        seen.add(result.status)
+        oracle = search_order_oracle(matrix, depth, image, maps_onto_candidates(u, v, image))
+        want = next((t for t in oracle if t.image_clopen(u) == v), None)
+        if result.status == "equivalent":
+            assert want is not None and result.witness.code == want.code
+        else:
+            assert want is None
+    assert seen == {"equivalent", "not_equivalent", "undecided"}
 
 
 def test_basis_class_equals_row_class():

@@ -32,7 +32,18 @@ from fullshift.sft import (
     point_in,
 )
 
-from helpers import FULL2, GOLDEN, POOL, random_clopen, random_matrix
+from helpers import (
+    FULL2,
+    GOLDEN,
+    POOL,
+    ep_apply_oracle,
+    ep_oracle,
+    ep_prefix_oracle,
+    ep_shift_oracle,
+    random_clopen,
+    random_matrix,
+    random_table,
+)
 
 
 def test_validate_matrix_accepts_standard_examples():
@@ -248,3 +259,23 @@ def test_point_text_round_trip():
     for text in ["1,2|2,1", "|1", "2|1,2"]:
         p = parse_point(text)
         assert parse_point(format_point(p)) == p
+
+
+def test_eventually_periodic_points_match_oracle():
+    # make, prefix, shift and TableMap.apply against the scan-and-roll
+    # oracle; periods are often powers, preperiods often roll into them
+    rng = random.Random(4242)
+    tables = [random_table(rng, FULL2) for _ in range(20)]
+    for i in range(20_000):
+        alphabet = rng.choice((2, 3))
+        base = tuple(rng.randint(1, alphabet) for _ in range(rng.randint(1, 3)))
+        per = base * rng.randint(1, 3)
+        pre = tuple(rng.randint(1, alphabet) for _ in range(rng.randint(0, 6))) + base[-2:]
+        x = EPPoint.make(pre, per)
+        assert x == ep_oracle(pre, per)
+        k = rng.randint(0, 11)
+        assert x.prefix(k) == ep_prefix_oracle(x, k)
+        assert x.shift(k) == ep_shift_oracle(x, k)
+        if alphabet == 2:
+            table = tables[i % len(tables)]
+            assert table.apply(x) == ep_apply_oracle(table, x)
