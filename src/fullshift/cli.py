@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import invariants as inv
-from .errors import FullShiftError
+from .errors import BadInput, FullShiftError
 from .sft import (
     ClopenSet,
     TransitionMatrix,
@@ -438,6 +438,8 @@ def run(argv: list[str]) -> int:
         elif args.command == "construct":
             _cmd_construct(args, report)
         elif args.command == "witness-search":
+            if args.order is not None and args.order < 1:
+                raise BadInput("--order must be at least 1")
             matrix = _read_matrix(args.matrix)
             conditions = []
             if args.maps_onto:

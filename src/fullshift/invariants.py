@@ -15,14 +15,12 @@ certificate for equivalence of clopen sets under the group action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Callable
 
 from .errors import BadInput, MatrixMismatch
 from .sft import ClopenSet, TransitionMatrix, Word
 from .tables import TableMap
-
-ORBIT_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ def clopen_class(clopen: ClopenSet, group: BFGroup | None = None) -> GroupElemen
 
 @dataclass(frozen=True)
 class PointedDecision:
-    verdict: str  # isomorphic | not_isomorphic | undecided
+    verdict: str  # isomorphic | not_isomorphic
     reason: str
 
 
@@ -325,72 +323,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _unit_generators(p: int, e: int) -> list[int]:
-    """Generators of the unit group modulo p^e."""
-    if e == 0:
-        return []
-    mod = p**e
-    if p == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            return [3]
-        return [mod - 1, 5]
-    # find a primitive root mod p, lift to p^e
-    for g in range(2, p + 1):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            break
-    else:
-        raise AssertionError(f"no primitive root mod {p}")
-    if e >= 2 and pow(g, p - 1, p * p) == 1:
-        g += p
-    return [g % mod]
-
-
-def _primary_orbit(p: int, exps: list[int], start: tuple[int, ...], cap: int) -> set | None:
-    """Orbit of an element of the p-primary part under all automorphisms,
-    by closure under elementary generators; None when past the cap."""
-    mods = [p**e for e in exps]
-    size = 1
-    for m in mods:
-        size *= m
-        if size > cap:
-            return None
-    k = len(mods)
-    gens: list = []
-    for i in range(k):
-        for u in _unit_generators(p, exps[i]):
-            gens.append(("mul", i, u))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                c = p ** max(0, exps[i] - exps[j])
-                gens.append(("add", i, j, c))
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for gen in gens:
-            if gen[0] == "mul":
-                _, i, u = gen
-                y = list(x)
-                y[i] = y[i] * u % mods[i]
-            else:
-                _, i, j, c = gen
-                y = list(x)
-                y[i] = (y[i] + c * x[j]) % mods[i]
-            t = tuple(y)
-            if t not in orbit:
-                orbit.add(t)
-                frontier.append(t)
-    return orbit
-
-
 def _primary_split(torsion: tuple[int, ...], part: tuple[int, ...]):
     """Decompose torsion coordinates into primary components per prime."""
     primes = sorted({p for d in torsion for p in _prime_factors(d)})
@@ -411,35 +343,43 @@ def _torsion_match(
     torsion: tuple[int, ...],
     a: tuple[int, ...],
     b: tuple[int, ...],
-    cap: int = ORBIT_CAP,
     modulus: int = 0,
-) -> bool | None:
-    """Whether some automorphism of the torsion group carries a to b,
-    optionally only up to multiples of `modulus`.  None when past caps."""
-    if not torsion:
-        return True
-    split_a = _primary_split(torsion, a)
+) -> bool:
+    """Whether some automorphism of the torsion group T carries a to b, up
+    to multiples of `modulus` (exactly when `modulus` is 0): b lies in
+    Aut(T).a + gT for g = `modulus`.
+
+    Decided prime by prime by a closed-form orbit invariant (Miller 1905;
+    Dutta-Prasad, J. Group Theory 14 (2011)).  In the p-primary part
+    T_p = sum of Z/p^e_i a component x_i != 0 has the pair
+    (w_i, e_i) = (v_p(x_i), e_i); a homomorphism Z/p^e -> Z/p^e' can carry
+    p^w onto p^w' exactly when (w, e) dominates (w', e'), that is
+    w <= w' and e - w >= e' - w'.  The Aut(T_p)-orbit of x is therefore
+    determined by the pairs of its components that no other pair
+    dominates.  Modulo gT, with v = v_p(g) (infinite when g = 0), the
+    components with w_i >= v lie in p^v T_p and drop out; every pair they
+    dominate also has w >= v, so the undominated pairs with w_i < v decide
+    the orbit of x + p^v T_p.
+    """
     split_b = _primary_split(torsion, b)
-    for p, (exps, comp_a) in split_a.items():
+    for p, (exps, comp_a) in _primary_split(torsion, a).items():
         comp_b = split_b[p][1]
-        orbit = _primary_orbit(p, exps, comp_a, cap)
-        if orbit is None:
-            return None
-        if modulus:
-            g = p ** _vp(modulus, p) if modulus % p == 0 else 1
-            mods = [p**e for e in exps]
-            want = {
-                tuple(x % gcd(g, m) if gcd(g, m) else x for x, m in zip(t, mods))
-                for t in orbit
-            }
-            have = tuple(
-                x % gcd(g, m) if gcd(g, m) else x for x, m in zip(comp_b, mods)
-            )
-            if have not in want:
-                return False
-        elif comp_b not in orbit:
+        v = _vp(modulus, p) if modulus else inf
+        if _primary_type(p, exps, comp_a, v) != _primary_type(p, exps, comp_b, v):
             return False
     return True
+
+
+def _primary_type(p: int, exps: list[int], comps: tuple[int, ...], v: float) -> set:
+    """The undominated pairs (v_p(x_i), e_i) of the nonzero components with
+    v_p(x_i) < v."""
+    pairs = {(_vp(x, p), e) for x, e in zip(comps, exps) if x}
+    kept = {(w, e) for w, e in pairs if w < v}
+    return {
+        (w, e)
+        for w, e in kept
+        if not any((w2, e2) != (w, e) and w2 <= w and e2 - w2 >= e - w for w2, e2 in kept)
+    }
 
 
 def pointed_iso_decide(
@@ -449,13 +389,16 @@ def pointed_iso_decide(
     unit_b: GroupElement,
 ) -> PointedDecision:
     """Decide whether an isomorphism of the groups can match the two
-    distinguished elements.
+    distinguished elements; the decision is exact.
 
-    Finite groups are decided exactly by per-prime automorphism orbits
-    (closed under elementary generators, capped at 10^6 per component).
-    With free rank the decision is conservative: structural checks plus
-    the gcd of the free image are required, a successful bounded search
-    confirms a positive, and anything else stays undecided.
+    Write each group as T + Z^r with the element (t, f).  Since
+    Hom(T, Z) = 0 every automorphism is block triangular,
+    (t, f) -> (alpha t + beta f, gamma f) with alpha in Aut(T), beta in
+    Hom(Z^r, T) and gamma in GL_r(Z).  gamma f runs over the vectors of the
+    same content g = gcd(f), and beta f over gT.  So the orbit of (t, f) is
+    (Aut(T).t + gT, content g): the free ranks, invariant factors and
+    contents must agree, and the torsion parts must match modulo g (g = 0
+    without free rank or with zero free image), see :func:`_torsion_match`.
     """
     if group_a.free_rank != group_b.free_rank:
         return PointedDecision("not_isomorphic", "free ranks differ")
@@ -464,39 +407,29 @@ def pointed_iso_decide(
             "not_isomorphic",
             f"invariant factors differ: {group_a.torsion} vs {group_b.torsion}",
         )
-    ta, tb = unit_a.torsion_part(), unit_b.torsion_part()
-    fa, fb = unit_a.free_part(), unit_b.free_part()
-    if group_a.free_rank == 0:
-        match = _torsion_match(group_a.torsion, ta, tb)
-        if match is None:
-            return PointedDecision("undecided", "torsion component exceeds the orbit cap")
-        if match:
-            return PointedDecision("isomorphic", "distinguished elements lie in one orbit")
-        return PointedDecision(
-            "not_isomorphic", "no automorphism matches the distinguished elements"
-        )
-    ga = gcd(*fa) if len(fa) > 1 else abs(fa[0])
-    gb = gcd(*fb) if len(fb) > 1 else abs(fb[0])
+    ga, gb = gcd(*unit_a.free_part()), gcd(*unit_b.free_part())
     if (ga == 0) != (gb == 0):
         return PointedDecision("not_isomorphic", "free images differ (zero vs nonzero)")
     if ga != gb:
         return PointedDecision("not_isomorphic", f"free image contents differ: {ga} vs {gb}")
-    if ga == 0:
-        match = _torsion_match(group_a.torsion, ta, tb)
-        if match is None:
-            return PointedDecision("undecided", "torsion component exceeds the orbit cap")
-        if match:
-            return PointedDecision("isomorphic", "zero free image, torsion parts in one orbit")
-        return PointedDecision(
-            "not_isomorphic", "zero free image, torsion parts in different orbits"
+    if not group_a.free_rank:
+        reasons = (
+            "distinguished elements lie in one orbit",
+            "no automorphism matches the distinguished elements",
         )
-    match = _torsion_match(group_a.torsion, ta, tb, modulus=ga)
-    if match:
-        return PointedDecision(
-            "isomorphic",
+    elif ga == 0:
+        reasons = (
+            "zero free image, torsion parts in one orbit",
+            "zero free image, torsion parts in different orbits",
+        )
+    else:
+        reasons = (
             "free images match and torsion parts agree modulo the free content",
+            "free images match but torsion parts differ modulo the free content",
         )
-    return PointedDecision("undecided", "free rank present; bounded search found no match")
+    if _torsion_match(group_a.torsion, unit_a.torsion_part(), unit_b.torsion_part(), modulus=ga):
+        return PointedDecision("isomorphic", reasons[0])
+    return PointedDecision("not_isomorphic", reasons[1])
 
 
 @dataclass(frozen=True)
@@ -529,16 +462,10 @@ def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix
     pointed = pointed_iso_decide(group_a, unit_a, group_b, unit_b)
     if pointed.verdict == "not_isomorphic":
         verdict, reason = "NOT_ISOMORPHIC", pointed.reason
-    elif pointed.verdict == "isomorphic":
-        if det_a * det_b >= 0:
-            verdict, reason = "ISOMORPHIC", "pointed groups match and det(A-I)det(B-I) >= 0"
-        else:
-            verdict, reason = (
-                "INCONCLUSIVE",
-                "pointed groups match but det(A-I)det(B-I) < 0",
-            )
+    elif det_a * det_b >= 0:
+        verdict, reason = "ISOMORPHIC", "pointed groups match and det(A-I)det(B-I) >= 0"
     else:
-        verdict, reason = "INCONCLUSIVE", pointed.reason
+        verdict, reason = "INCONCLUSIVE", "pointed groups match but det(A-I)det(B-I) < 0"
     return IsoReport(
         verdict, reason, group_a, unit_a, group_b, unit_b, det_a, det_b, pointed
     )
@@ -613,6 +540,8 @@ def gamma_equivalent(
     """
     from .constructions import _run_search
 
+    if depth_bound < 1 or image_bound < 1:
+        raise BadInput("search bounds must be at least 1")
     if u.matrix != v.matrix:
         raise MatrixMismatch("clopen sets live over different matrices")
     matrix = u.matrix

@@ -392,11 +392,6 @@ class EPPoint:
         r = p - k % p
         return EPPoint(pre[: len(pre) - k], per[r:] + per[:r])
 
-    def symbol_at(self, i: int) -> int:
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
     def prefix(self, k: int) -> Word:
         pre = self.pre
         if k <= len(pre):
@@ -431,18 +426,14 @@ def is_point_admissible(matrix: TransitionMatrix, point: EPPoint) -> bool:
 
 def first_return(matrix: TransitionMatrix, sym: int, min_len: int = 1) -> Word:
     """Lexicographically least shortest word r with sym.r admissible, r ending
-    back at sym, of length >= min_len."""
-    frontier: list[Word] = [(a,) for a in matrix.successors(sym)]
-    length = 1
+    back at sym, of length >= min_len.  A breadth-first search over states:
+    per length it keeps only the least word ending at each symbol."""
+    best = {a: (a,) for a in matrix.successors(sym)}
     cap = matrix.n * matrix.n + min_len + 2
-    while length <= cap:
-        for r in frontier:
-            if length >= min_len and r[-1] == sym:
-                return r
-        frontier = [r + (a,) for r in frontier for a in matrix.successors(r[-1])]
-        length += 1
-        if len(frontier) > 200000:
-            frontier = frontier[:200000]
+    for length in range(1, cap + 1):
+        if length >= min_len and sym in best:
+            return best[sym]
+        best = _extend_least_words(matrix, best)
     raise SearchLimitExceeded(f"no return word at symbol {sym} within length {cap}")
 
 
@@ -460,6 +451,20 @@ def point_in(clopen: ClopenSet) -> EPPoint:
 # path constructions in the transition graph
 
 
+def _extend_least_words(matrix: TransitionMatrix, best: dict[int, Word]) -> dict[int, Word]:
+    """One more symbol on the least words of one length, keyed by last
+    symbol: the least extension ending at each symbol.  The least word of
+    length k + 1 ending at b extends the least word of length k ending at
+    some predecessor of b, so these are again the least words."""
+    out: dict[int, Word] = {}
+    for a, w in best.items():
+        for b in matrix.successors(a):
+            nxt = w + (b,)
+            if b not in out or nxt < out[b]:
+                out[b] = nxt
+    return out
+
+
 def connect_path(matrix: TransitionMatrix, u: int, v: int) -> Word:
     """Shortest (possibly empty) word xi with u.xi.v admissible.
 
@@ -468,18 +473,12 @@ def connect_path(matrix: TransitionMatrix, u: int, v: int) -> Word:
     """
     if matrix.arc(u, v):
         return EMPTY_WORD
-    frontier: list[Word] = [(a,) for a in matrix.successors(u)]
+    best = {a: (a,) for a in matrix.successors(u)}
     for _ in range(matrix.n + 1):
-        hits = [w for w in frontier if matrix.arc(w[-1], v)]
+        hits = [w for a, w in best.items() if matrix.arc(a, v)]
         if hits:
             return min(hits)
-        seen_best: dict[int, Word] = {}
-        for w in frontier:
-            for a in matrix.successors(w[-1]):
-                nxt = w + (a,)
-                if a not in seen_best or nxt < seen_best[a]:
-                    seen_best[a] = nxt
-        frontier = sorted(seen_best.values())
+        best = _extend_least_words(matrix, best)
     raise SearchLimitExceeded(f"no path from {u} to {v}; matrix not irreducible?")
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: deterministic matrix pool, seeded random generators for
 clopen sets and tables, and the independent brute-force oracles used to
 cross-check the library (pointwise evaluation, cokernel enumeration,
-homomorphism-matrix search).  Oracles live here, not in the package."""
+homomorphism-matrix search, automorphism-orbit closure).  Oracles live
+here, not in the package."""
 
 from __future__ import annotations
 
@@ -150,6 +151,19 @@ def enumerate_points(matrix: TransitionMatrix, max_pre: int, max_per: int):
     result = sorted(points, key=lambda p: (p.pre, p.per))
     _POINT_CACHE[key] = result
     return result
+
+
+def first_return_oracle(matrix: TransitionMatrix, sym: int, min_len: int = 1):
+    """The first return word at sym of length >= min_len, by enumerating
+    every admissible word of each length in lexicographic order."""
+    frontier = [(a,) for a in matrix.successors(sym)]
+    for length in range(1, matrix.n * matrix.n + min_len + 3):
+        if length >= min_len:
+            for r in frontier:
+                if r[-1] == sym:
+                    return r
+        frontier = [r + (a,) for r in frontier for a in matrix.successors(r[-1])]
+    return None
 
 
 def completion_points(matrix: TransitionMatrix, word):
@@ -509,6 +523,70 @@ def pointed_match_oracle(factors, u, v, leaf_cap=None):
         return False
 
     return rec(0, {p: [] for p in primes})
+
+
+def _unit_generators(p: int, e: int) -> list[int]:
+    """Generators of the unit group modulo p^e."""
+    if e == 0:
+        return []
+    mod = p**e
+    if p == 2:
+        if e == 1:
+            return []
+        if e == 2:
+            return [3]
+        return [mod - 1, 5]
+    # find a primitive root mod p, lift to p^e
+    for g in range(2, p + 1):
+        seen = set()
+        x = 1
+        for _ in range(p - 1):
+            x = x * g % p
+            seen.add(x)
+        if len(seen) == p - 1:
+            break
+    else:
+        raise AssertionError(f"no primitive root mod {p}")
+    if e >= 2 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return [g % mod]
+
+
+def primary_orbit_oracle(p: int, exps, start) -> set:
+    """Orbit of an element of the p-group sum of Z/p^e (e in exps) under all
+    automorphisms, by closure under elementary generators: a unit multiple
+    of one component, and adding to component i a multiple of component j
+    scaled so that the map stays a homomorphism."""
+    mods = [p**e for e in exps]
+    k = len(mods)
+    gens: list = []
+    for i in range(k):
+        for u in _unit_generators(p, exps[i]):
+            gens.append(("mul", i, u))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                c = p ** max(0, exps[i] - exps[j])
+                gens.append(("add", i, j, c))
+    start = tuple(start)
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for gen in gens:
+            if gen[0] == "mul":
+                _, i, u = gen
+                y = list(x)
+                y[i] = y[i] * u % mods[i]
+            else:
+                _, i, j, c = gen
+                y = list(x)
+                y[i] = (y[i] + c * x[j]) % mods[i]
+            t = tuple(y)
+            if t not in orbit:
+                orbit.add(t)
+                frontier.append(t)
+    return orbit
 
 
 def _prime_list(n):

@@ -176,6 +176,37 @@ def test_gamma_equiv_cli(files, tmp_path, capsys):
     assert "witness carries U onto V: PASS" in out
 
 
+def test_gamma_equiv_rejects_bounds_below_one(files, tmp_path, capsys):
+    u11 = tmp_path / "u11f3.clo"
+    u11.write_text("D 2\n1,1\n")
+    for depth, image in (("0", "1"), ("1", "0")):
+        code = run([
+            "gamma-equiv", files["full3.mat"], files["u1.clo"], str(u11),
+            "--depth-bound", depth, "--image-bound", image,
+        ])
+        assert code == 1
+        assert "ERROR: BadInput: search bounds must be at least 1" in capsys.readouterr().out
+    # the check comes before the early answers for equal or empty sets
+    code = run([
+        "gamma-equiv", files["full3.mat"], files["u1.clo"], files["u1.clo"],
+        "--depth-bound", "0",
+    ])
+    assert code == 1
+    assert "ERROR: BadInput" in capsys.readouterr().out
+
+
+def test_witness_search_rejects_order_below_one(files, capsys):
+    for order in ("0", "-3"):
+        code = run([
+            "witness-search", files["full2.mat"], "--depth-bound", "1",
+            "--image-bound", "1", "--order", order,
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "ERROR: BadInput: --order must be at least 1" in out
+        assert "RESULT" not in out
+
+
 def test_json_reports(files, capsys):
     assert run(["--json", "bf", files["full3.mat"]]) == 0
     doc = json.loads(capsys.readouterr().out)

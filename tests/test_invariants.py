@@ -1,6 +1,9 @@
 """Cokernel invariants: Smith form, pointed groups, equivalence decisions."""
 
 import random
+from itertools import product
+
+import pytest
 
 from fullshift import (
     bowen_franks,
@@ -16,6 +19,7 @@ from fullshift import (
 )
 from fullshift.invariants import (
     BFGroup,
+    _torsion_match,
     determinant,
     maps_onto_candidates,
     shift_determinant,
@@ -32,6 +36,7 @@ from helpers import (
     hom_count,
     invariant_factor_lists,
     pointed_match_oracle,
+    primary_orbit_oracle,
     random_clopen,
     random_matrix,
     search_order_oracle,
@@ -52,6 +57,28 @@ def test_smith_normal_form_randomized():
         diag = [s[i][i] for i in range(min(n, m))]
         nonzero = [d for d in diag if d]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def test_smith_normal_form_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    def sympy_diag(mat):
+        s = normalforms.smith_normal_form(Matrix(mat))
+        return [abs(int(s[i, i])) for i in range(min(s.shape))]
+
+    rng = random.Random(12)
+    mats = []
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        mats.append([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+    for _ in range(40):
+        matrix = random_matrix(rng, rng.randint(2, 8))
+        n = matrix.n
+        mats.append([[matrix.arc(j + 1, i + 1) - (i == j) for j in range(n)] for i in range(n)])
+    for mat in mats:
+        s, _, _ = smith_normal_form(mat)
+        assert [s[i][i] for i in range(min(len(s), len(s[0])))] == sympy_diag(mat), mat
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -207,11 +234,54 @@ def test_pointed_iso_free_rank_paths():
     z2 = BFGroup(2, (0, 0), ((1, 0), (0, 1)))
     assert pointed_iso_decide(z2, z2.element([2, 4]), z2, z2.element([0, 2])).verdict == "isomorphic"
     assert pointed_iso_decide(z2, z2.element([2, 4]), z2, z2.element([1, 1])).verdict == "not_isomorphic"
-    # mixed free and torsion with matching data stays decided or undecided,
-    # never wrongly negative
+    # mixed free and torsion: the torsion parts match modulo the free content
     mixed = BFGroup(2, (2, 0), ((1, 0), (0, 1)))
     res = pointed_iso_decide(mixed, mixed.element([1, 1]), mixed, mixed.element([0, 1]))
-    assert res.verdict in ("isomorphic", "undecided")
+    assert res.verdict == "isomorphic"
+    z4z = BFGroup(2, (4, 0), ((1, 0), (0, 1)))
+    res = pointed_iso_decide(z4z, z4z.element([1, 2]), z4z, z4z.element([2, 2]))
+    assert res.verdict == "not_isomorphic"
+
+
+def _partitions(k, largest):
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield rest + (first,)
+
+
+def test_torsion_match_against_orbit_oracle():
+    # every p-primary group of order <= 2^7, 3^4, 5^2, every element, every
+    # modulus p^v (v = 0..max e) and no modulus: b matches a exactly when b
+    # lies in Aut(T).a + p^v T, the oracle's orbit reduced modulo p^v
+    for p, top in ((2, 7), (3, 4), (5, 2)):
+        for k in range(1, top + 1):
+            for exps in _partitions(k, k):
+                torsion = tuple(p**e for e in exps)
+                elems = list(product(*map(range, torsion)))
+                orbit_of = {}
+                for x in elems:
+                    if x not in orbit_of:
+                        orbit = frozenset(primary_orbit_oracle(p, exps, x))
+                        orbit_of.update(dict.fromkeys(orbit, orbit))
+                for v in [*range(max(exps) + 1), None]:
+                    def reduce(x):
+                        if v is None:
+                            return x
+                        return tuple(c % p ** min(v, e) for c, e in zip(x, exps))
+
+                    modulus = 0 if v is None else p**v
+                    rep_of = {}
+                    for x in elems:
+                        cls = frozenset(map(reduce, orbit_of[x]))
+                        rep = rep_of.setdefault(cls, x)
+                        assert _torsion_match(torsion, x, rep, modulus=modulus)
+                    for cls, rep in rep_of.items():
+                        for b in elems:
+                            want = reduce(b) in cls
+                            got = _torsion_match(torsion, rep, b, modulus=modulus)
+                            assert got == want, (torsion, rep, b, modulus)
 
 
 def test_full_group_iso_decide_spec_examples():

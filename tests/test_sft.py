@@ -22,6 +22,7 @@ from fullshift import (
     validate_matrix,
 )
 from fullshift.sft import (
+    first_return,
     format_clopen_text,
     format_matrix_text,
     format_point,
@@ -34,12 +35,15 @@ from fullshift.sft import (
 
 from helpers import (
     FULL2,
+    FULL3,
+    FULL4,
     GOLDEN,
     POOL,
     ep_apply_oracle,
     ep_oracle,
     ep_prefix_oracle,
     ep_shift_oracle,
+    first_return_oracle,
     random_clopen,
     random_matrix,
     random_table,
@@ -190,6 +194,33 @@ def test_connect_path_postconditions_randomized():
         xi = connect_path(matrix, u, v)
         chain = (u,) + xi + (v,)
         assert matrix.is_admissible(chain)
+
+
+def test_first_return_matches_enumeration_oracle():
+    for matrix in POOL + [FULL3, FULL4]:
+        for sym in matrix.symbols():
+            for min_len in range(1, 5):
+                ret = first_return(matrix, sym, min_len)
+                assert ret == first_return_oracle(matrix, sym, min_len)
+                assert len(ret) >= min_len and ret[-1] == sym
+                assert matrix.is_admissible((sym,) + ret)
+
+
+def test_first_return_through_a_full_block():
+    # 1 -> 2, a full block on 2..7, then the chain 7 -> 8 -> ... -> 14 -> 1:
+    # the words leaving 1 multiply by six per step inside the block, so an
+    # enumeration of whole words cannot reach the return at length 10
+    rows = [[0] * 14 for _ in range(14)]
+    rows[0][1] = 1
+    for i in range(1, 7):
+        rows[i][1:7] = [1] * 6
+    for i in range(6, 13):
+        rows[i][i + 1] = 1
+    rows[13][0] = 1
+    matrix = validate_matrix(rows)
+    assert first_return(matrix, 1) == (2, 7, 8, 9, 10, 11, 12, 13, 14, 1)
+    assert first_return(matrix, 8) == (9, 10, 11, 12, 13, 14, 1, 2, 7, 8)
+    assert first_return(matrix, 2, min_len=2) == (2, 2)
 
 
 def test_distinct_path_pair_spec_cases():
