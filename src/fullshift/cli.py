@@ -33,7 +33,7 @@ from .sft import (
     parse_point,
     parse_word,
 )
-from .tables import TableMap, format_table_text, parse_table_text
+from .tables import CocycleTable, TableMap, format_table_text, parse_table_text
 
 
 class Report:
@@ -83,16 +83,24 @@ class Report:
             print(f"CHECK {name}: {'PASS' if ok else 'FAIL'}")
 
 
+def _read_text(path: str) -> str:
+    """The contents of an input file, which must be UTF-8 text."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_matrix(path: str) -> TransitionMatrix:
-    return parse_matrix_text(Path(path).read_text())
+    return parse_matrix_text(_read_text(path))
 
 
 def _read_clopen(matrix: TransitionMatrix, path: str) -> ClopenSet:
-    return parse_clopen_text(matrix, Path(path).read_text())
+    return parse_clopen_text(matrix, _read_text(path))
 
 
 def _read_table(matrix: TransitionMatrix, path: str) -> TableMap:
-    return parse_table_text(matrix, Path(path).read_text())
+    return parse_table_text(matrix, _read_text(path))
 
 
 def _write(path: str, text: str, report: Report) -> None:
@@ -106,6 +114,22 @@ def _clopen_summary(c: ClopenSet) -> str:
     if c.is_full:
         return "FULL"
     return f"depth {c.depth}: " + " ".join(format_word(w) for w in c.sorted_words())
+
+
+def _add_support(report: Report, table: TableMap) -> ClopenSet:
+    """Report the support and the exact fixed-point set; return the support."""
+    support, fixed = table.support_and_fixed()
+    report.add("SUPPORT", _clopen_summary(support))
+    report.add("FIXED-CLOPEN", _clopen_summary(fixed.clopen_part))
+    for pt in fixed.isolated:
+        report.add("FIXED-POINT", format_point(pt))
+    return support
+
+
+def _add_cocycles(report: Report, cocycles: CocycleTable) -> None:
+    for w in sorted(cocycles.values):
+        k, l = cocycles.values[w]
+        report.add("COCYCLE", f"{format_word(w)} k={k} l={l}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,11 +424,7 @@ def run(argv: list[str]) -> int:
         elif args.command == "support":
             matrix = _read_matrix(args.matrix)
             table = _read_table(matrix, args.table)
-            support, fixed = table.support_and_fixed()
-            report.add("SUPPORT", _clopen_summary(support))
-            report.add("FIXED-CLOPEN", _clopen_summary(fixed.clopen_part))
-            for pt in fixed.isolated:
-                report.add("FIXED-POINT", format_point(pt))
+            support = _add_support(report, table)
             if args.out:
                 _write(args.out, format_clopen_text(support), report)
         elif args.command == "cocycles":
@@ -412,9 +432,7 @@ def run(argv: list[str]) -> int:
             table = _read_table(matrix, args.table)
             cocycles = table.cocycles()
             report.add("DEPTH", cocycles.depth)
-            for w in sorted(cocycles.values):
-                k, l = cocycles.values[w]
-                report.add("COCYCLE", f"{format_word(w)} k={k} l={l}")
+            _add_cocycles(report, cocycles)
         elif args.command == "commutes":
             matrix = _read_matrix(args.matrix)
             first = _read_table(matrix, args.first)
@@ -516,15 +534,8 @@ def run(argv: list[str]) -> int:
             report.add("DEPTH", table.depth)
             report.add("ENTRIES", table.entry_count())
             report.add("RESULT", "valid")
-            support, fixed = table.support_and_fixed()
-            report.add("SUPPORT", _clopen_summary(support))
-            report.add("FIXED-CLOPEN", _clopen_summary(fixed.clopen_part))
-            for pt in fixed.isolated:
-                report.add("FIXED-POINT", format_point(pt))
-            cocycles = table.cocycles()
-            for w in sorted(cocycles.values):
-                k, l = cocycles.values[w]
-                report.add("COCYCLE", f"{format_word(w)} k={k} l={l}")
+            _add_support(report, table)
+            _add_cocycles(report, table.cocycles())
         else:  # pragma: no cover - argparse enforces the choices
             raise FullShiftError(f"unknown command {args.command!r}")
     except FullShiftError as exc:

@@ -39,9 +39,12 @@ from .sft import (
     first_return,
     format_word,
     point_in,
+    second_return,
 )
 from .tables import TableMap, validate_images
 
+# steps of the moved-cylinder shrinking in localize_conjugate, the one
+# search here without an exact bound
 _SHRINK_CAP = 64
 
 
@@ -88,18 +91,6 @@ def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
     return _cylinder_table(
         matrix, {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
     )
-
-
-def _proper_subcylinder(clopen: ClopenSet) -> ClopenSet:
-    """A nonempty proper clopen subset: the least cylinder at the first
-    branching depth.  Exists because no cylinder is a single point."""
-    depth = clopen.depth
-    for _ in range(_SHRINK_CAP):
-        words = sorted(clopen.refine(max(depth, 1)))
-        if len(words) >= 2:
-            return cylinder(clopen.matrix, words[0])
-        depth = max(depth, 1) + 1
-    raise SearchLimitExceeded("clopen set failed to branch; condition (I) violated?")
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +283,20 @@ def _refined_count(clopen: ClopenSet, depth: int) -> int:
 
 
 def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
-    """`count` pairwise disjoint cylinders inside the target, found at the
-    shallowest refinement with enough branches."""
-    depth = max(target.depth, 1)
-    for _ in range(_SHRINK_CAP):
+    """The `count` least cylinders of the nonempty target at the shallowest
+    depth >= max(target.depth, 1) that has that many; they are pairwise
+    disjoint.  Under condition (I) every word has two extensions within n
+    more symbols, so the count doubles every n levels and the search stops
+    at depth max(target.depth, 1) + n * count."""
+    start = max(target.depth, 1)
+    bound = start + target.matrix.n * count
+    for depth in range(start, bound + 1):
         if _refined_count(target, depth) >= count:
             words = sorted(target.refine(depth))
             return [cylinder(target.matrix, w) for w in words[:count]]
-        depth += 1
-    raise SearchLimitExceeded("target failed to branch; condition (I) violated?")
+    raise SearchLimitExceeded(
+        f"target has fewer than {count} cylinders at depth {bound}; condition (I) violated?"
+    )
 
 
 def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
@@ -508,30 +504,13 @@ def free_pair(region: ClopenSet) -> tuple[TableMap, TableMap, ClopenSet]:
             best = (len(link) + len(ret), u, link, ret)
     _, u, link, ret = best
     stem = nu + link + (u,)
-    other = _second_return(matrix, u, ret)
+    other = second_return(matrix, u, ret)
     base = stem + ret
     psi = cylinder_swap(matrix, base, stem + other)
     phi = cylinder_cycle(
         matrix, [stem + other + other, stem + other + ret, base]
     )
     return psi, phi, cylinder(matrix, base)
-
-
-def _second_return(matrix: TransitionMatrix, u: int, ret: Word) -> Word:
-    """A return word at u of length >= 3, prefix-incomparable with `ret`."""
-    frontier: list[Word] = [(a,) for a in matrix.successors(u)]
-    length = 1
-    cap = len(ret) + matrix.n * matrix.n + 4
-    while length <= cap:
-        if length >= 3:
-            for r in frontier:
-                if r[-1] == u and _incomparable(r, ret):
-                    return r
-        frontier = [r + (a,) for r in frontier for a in matrix.successors(r[-1])]
-        length += 1
-        if len(frontier) > 200000:
-            frontier = frontier[:200000]
-    raise SearchLimitExceeded(f"no second return word at {u}; condition (I) violated?")
 
 
 def check_free_pair(
@@ -571,16 +550,13 @@ def _disjoint_moved_cylinder(eta: TableMap) -> ClopenSet:
             rho = image + nu[len(word):]
             if _incomparable(nu, rho):
                 return cylinder(matrix, nu)
-            # the entry fixes one point of the cylinder; move off its track
-            for extra in range(1, _SHRINK_CAP):
-                found = None
+            # the entry fixes one point of the cylinder, whose track repeats
+            # with period p = |len(rho) - len(nu)|; an unbranched cycle would
+            # be a permutation component, so the track branches within p
+            for extra in range(1, abs(len(rho) - len(nu)) + 1):
                 for t in matrix.extensions(nu, len(nu) + extra):
-                    tail = t[len(nu):]
-                    if _incomparable(nu + tail, rho + tail):
-                        found = nu + tail
-                        break
-                if found is not None:
-                    return cylinder(matrix, found)
+                    if _incomparable(t, rho + t[len(nu):]):
+                        return cylinder(matrix, t)
     raise SearchLimitExceeded("no moved cylinder found; is the element trivial?")
 
 
@@ -601,23 +577,18 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
     support = eta.support()
     if not support.intersection(u).is_empty:
         return TableMap.identity(matrix)
-    words = sorted(u.refine(max(u.depth, 1)))
-    for _ in range(_SHRINK_CAP):
-        if len(words) >= 2:
-            break
-        words = sorted(u.refine(len(words[0]) + 1))
-    else:
-        raise SearchLimitExceeded("U failed to branch; condition (I) violated?")
-    u1 = cylinder(matrix, words[0])
+    u1 = _disjoint_corners(u, 2)[0]
     u2 = u.difference(u1)
     y = _disjoint_moved_cylinder(eta)
     for _ in range(_SHRINK_CAP):
         eta_y = eta.image_clopen(y)
         if not u1.difference(eta_y).is_empty and not u2.difference(y).is_empty:
             break
-        y = _proper_subcylinder(y)
+        y = _disjoint_corners(y, 2)[0]
     else:
-        raise SearchLimitExceeded("could not shrink the moved cylinder far enough")
+        raise SearchLimitExceeded(
+            f"could not shrink the moved cylinder far enough in {_SHRINK_CAP} steps"
+        )
     eta_y = eta.image_clopen(y)
     first_src = u1.difference(eta_y)
     v1, alpha = involution_into(first_src, y, point_in(first_src))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import gcd, inf
 from typing import Callable
 
+from .constructions import _candidate_images, _run_search
 from .errors import BadInput, MatrixMismatch
 from .sft import ClopenSet, TransitionMatrix, Word
 from .tables import TableMap
@@ -492,8 +493,6 @@ def maps_onto_candidates(
     lie inside v, outside u it must miss v, and a cylinder that straddles
     u is checked suffix by suffix at u's depth.
     """
-    from .constructions import _candidate_images
-
     matrix = u.matrix
     base: dict[int, list[Word]] = {}
 
@@ -538,8 +537,6 @@ def gamma_equivalent(
     classes launch a constrained exact-cover search for a witness; its
     success is returned with the witness, exhaustion stays undecided.
     """
-    from .constructions import _run_search
-
     if depth_bound < 1 or image_bound < 1:
         raise BadInput("search bounds must be at least 1")
     if u.matrix != v.matrix:

@@ -43,7 +43,8 @@ class TransitionMatrix:
         self._succ = (None,) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
         )
-        self._cont: dict[tuple[int, int], int] = {}
+        # _cont[k][sym]: the number of words of length k that may follow sym
+        self._cont: list[tuple[int, ...]] = [(1,) * (self.n + 1)]
         self._words: dict[int, tuple[Word, ...]] = {}
 
     def __eq__(self, other):
@@ -74,15 +75,15 @@ class TransitionMatrix:
         return all(self.arc(word[t], word[t + 1]) for t in range(len(word) - 1))
 
     def continuation_count(self, sym: int, length: int) -> int:
-        """Number of admissible words of the given length that may follow sym."""
-        if length == 0:
-            return 1
-        key = (sym, length)
-        cached = self._cont.get(key)
-        if cached is None:
-            cached = sum(self.continuation_count(t, length - 1) for t in self._succ[sym])
-            self._cont[key] = cached
-        return cached
+        """Number of admissible words of the given length that may follow sym.
+
+        The counts are a table by length, grown one length at a time, so
+        any length costs no recursion."""
+        counts = self._cont
+        while len(counts) <= length:
+            prev = counts[-1]
+            counts.append((0,) + tuple(sum(prev[t] for t in succ) for succ in self._succ[1:]))
+        return counts[length][sym]
 
     def word_count(self, k: int) -> int:
         if k == 0:
@@ -437,6 +438,35 @@ def first_return(matrix: TransitionMatrix, sym: int, min_len: int = 1) -> Word:
     raise SearchLimitExceeded(f"no return word at symbol {sym} within length {cap}")
 
 
+def second_return(matrix: TransitionMatrix, sym: int, ret: Word) -> Word:
+    """Lexicographically least shortest word r of length >= 3 with sym.r
+    admissible, r ending back at sym and prefix-incomparable with `ret`, a
+    return word at sym.
+
+    A breadth-first search over states, like :func:`first_return`, over the
+    words that have left `ret`: every extension of such a word has left it
+    too, so per length the least one ending at each symbol is enough.  While
+    the length is at most len(ret), the one word still on `ret` adds its
+    other one-symbol children.  Some symbol along `ret` branches, since an
+    unbranched cycle through sym would make the matrix a permutation; so a
+    word leaves `ret` within len(ret) symbols and is back at sym within n
+    more, and going once more round `ret` reaches length 3.
+    """
+    best: dict[int, Word] = {}
+    cap = len(ret) + matrix.n + 1
+    for length in range(1, cap + 1):
+        best = _extend_least_words(matrix, best)
+        if length <= len(ret):
+            stem = ret[: length - 1]
+            for a in matrix.successors(stem[-1] if stem else sym):
+                w = stem + (a,)
+                if a != ret[length - 1] and (a not in best or w < best[a]):
+                    best[a] = w
+        if length >= 3 and sym in best:
+            return best[sym]
+    raise SearchLimitExceeded(f"no second return word at {sym} within length {cap}")
+
+
 def point_in(clopen: ClopenSet) -> EPPoint:
     """A concrete eventually periodic point of a nonempty clopen set."""
     if clopen.is_empty:
@@ -486,8 +516,12 @@ def distinct_path_pair(matrix: TransitionMatrix, frm: int) -> tuple[Word, Word, 
     """Two distinct equal-length words s, s' leaving `frm` and feeding the
     same symbol u: A(frm,s1) = A(frm,s'1) = A(sk,u) = A(s'k,u) = 1.
 
-    The search tries lengths 1, 2, ... up to n*n + n; under the validated
-    matrix properties it always succeeds, in practice at tiny length.
+    The search tries lengths 1, 2, ... up to n*n + n, every word of each
+    length.  A level of more than n words holds two that end in the same
+    symbol, and those two are a pair; so every level it extends has at most
+    n words, and the next at most n*n.  Every word reaches a branching
+    symbol within n steps, so the level size doubles every n lengths and
+    exceeds n well within the bound.
     """
     cap = matrix.n * matrix.n + matrix.n
     level: list[Word] = [(a,) for a in matrix.successors(frm)]
@@ -498,8 +532,6 @@ def distinct_path_pair(matrix: TransitionMatrix, frm: int) -> tuple[Word, Word, 
                 if common:
                     return s, sp, common[0]
         level = sorted(w + (a,) for w in level for a in matrix.successors(w[-1]))
-        if len(level) > 4096:
-            level = level[:4096]
     raise SearchLimitExceeded(
         f"no distinct path pair from {frm} within length {cap}; condition (I) violated?"
     )

@@ -424,6 +424,10 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
         if entries != {EMPTY_WORD: EMPTY_WORD}:
             raise BadDomain("a depth-0 table must map the empty word to itself")
         return TableMap(matrix, 0, {EMPTY_WORD: EMPTY_WORD})
+    if len(entries) < matrix.word_count(depth):
+        missing = _least_missing(matrix, entries, depth)
+        raise BadDomain(f"domain misses word {format_word(missing)}")
+    # the depth-L words are no more than the entries, so listing them is cheap
     expected = set(matrix.words(depth))
     have = set(entries)
     if have != expected:
@@ -434,6 +438,26 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
         raise BadDomain(f"domain has bad word {format_word(extra[0])}")
     validate_images(matrix, entries)
     return TableMap(matrix, depth, entries)
+
+
+def _least_missing(matrix: TransitionMatrix, words, depth: int) -> Word:
+    """The least admissible word of length depth not among `words`, which
+    must miss one.  Counts the admissible words under each prefix and
+    descends into the least child whose count falls short of its
+    cylinder's, without listing the depth-L words."""
+    have: dict[Word, int] = {}
+    for w in words:
+        if matrix.is_admissible(w):
+            for k in range(1, depth + 1):
+                have[w[:k]] = have.get(w[:k], 0) + 1
+    prefix = EMPTY_WORD
+    while len(prefix) < depth:
+        rest = depth - len(prefix) - 1
+        for a in matrix.successors(prefix[-1]) if prefix else matrix.symbols():
+            if have.get(prefix + (a,), 0) < matrix.continuation_count(a, rest):
+                prefix += (a,)
+                break
+    return prefix
 
 
 def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None:

@@ -50,6 +50,17 @@ def random_matrix(rng: random.Random, n: int) -> TransitionMatrix:
     return validate_matrix([[1] * n for _ in range(n)])
 
 
+def long_cycle(n: int) -> TransitionMatrix:
+    """The n-cycle 1 -> 2 -> ... -> n -> 1 with one branch, the loop 1 -> 1:
+    below cylinder 3 no word branches before depth n."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = 1
+    for i in range(n - 1):
+        rows[i][i + 1] = 1
+    rows[n - 1][0] = 1
+    return validate_matrix(rows)
+
+
 def random_clopen(
     rng: random.Random,
     matrix: TransitionMatrix,
@@ -163,6 +174,54 @@ def first_return_oracle(matrix: TransitionMatrix, sym: int, min_len: int = 1):
                 if r[-1] == sym:
                     return r
         frontier = [r + (a,) for r in frontier for a in matrix.successors(r[-1])]
+    return None
+
+
+def second_return_oracle(matrix: TransitionMatrix, sym: int, ret):
+    """The first return word at sym of length >= 3 that is prefix-incomparable
+    with ret, by enumerating every admissible word of each length in
+    lexicographic order (the former library search, without its frontier
+    cut)."""
+    frontier = [(a,) for a in matrix.successors(sym)]
+    for length in range(1, len(ret) + matrix.n * matrix.n + 5):
+        if length >= 3:
+            for r in frontier:
+                k = min(len(r), len(ret))
+                if r[-1] == sym and r[:k] != ret[:k]:
+                    return r
+        frontier = [r + (a,) for r in frontier for a in matrix.successors(r[-1])]
+    return None
+
+
+def proper_subcylinder_oracle(clopen: ClopenSet) -> ClopenSet:
+    """The least cylinder at the first depth >= max(depth, 1) where the set
+    has two words, refining one level at a time (the former library loop)."""
+    depth = max(clopen.depth, 1)
+    while True:
+        words = sorted(clopen.refine(depth))
+        if len(words) >= 2:
+            return canonicalize_clopen(clopen.matrix, [words[0]])
+        depth += 1
+
+
+def moved_cylinder_oracle(table: TableMap, cap: int = 64):
+    """The former library search for a cylinder Y with table(Y) disjoint from
+    Y: the moved entries of the reduced table's uniform view in order, each
+    followed down its fixed track for up to `cap` more symbols."""
+    g = table.reduce()
+    matrix = g.matrix
+    for word in sorted(g.code):
+        image = g.code[word]
+        if image == word:
+            continue
+        for nu in matrix.extensions(word, g.depth):
+            rho = image + nu[len(word):]
+            for extra in range(cap):
+                for t in matrix.extensions(nu, len(nu) + extra):
+                    moved = rho + t[len(nu):]
+                    k = min(len(t), len(moved))
+                    if t[:k] != moved[:k]:
+                        return canonicalize_clopen(matrix, [t])
     return None
 
 

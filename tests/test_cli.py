@@ -8,7 +8,7 @@ from fullshift.cli import run
 from fullshift.sft import format_clopen_text, format_matrix_text
 from fullshift.tables import format_table_text, validate_table
 
-from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap
+from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle
 
 
 @pytest.fixture
@@ -305,3 +305,34 @@ def test_json_repeated_keys_become_lists(files, capsys):
     assert report["WORD"] == words
     assert report["COUNT"] == "8"
     assert report["COMMAND"] == "words"
+
+
+def test_construct_transports_on_a_long_cycle(files, tmp_path, capsys):
+    # below cylinder 3 the first two disjoint cylinders lie at depth 80
+    matrix = tmp_path / "cycle80.mat"
+    matrix.write_text(format_matrix_text(long_cycle(80)))
+    w = tmp_path / "w3.clo"
+    w.write_text("D 1\n3\n")
+    out = str(tmp_path / "t.tbl")
+    for cid, flag in (("4.3", "--W"), ("4.10", "--V")):
+        argv = ["construct", cid, str(matrix), "--U", files["u1.clo"], flag, str(w), "-o", out]
+        code = run(argv)
+        report = capsys.readouterr().out
+        assert code == 0, report
+        assert "CHECK" in report and "FAIL" not in report and "ERROR" not in report
+
+
+def test_long_image_is_diagnosed(files, tmp_path, capsys):
+    path = tmp_path / "long.tbl"
+    path.write_text("L 1\n1 -> " + ",".join(["1"] * 1200) + "\n2 -> 2\n")
+    assert run(["table-validate", files["full2.mat"], str(path)]) == 1
+    assert "ERROR: ImagesDontCover: images cover" in capsys.readouterr().out
+
+
+def test_non_utf8_input_is_diagnosed(files, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\n")
+    assert run(["validate-matrix", str(bad)]) == 1
+    assert f"ERROR: BadInput: {bad} is not UTF-8 text" in capsys.readouterr().out
+    assert run(["table-validate", files["full2.mat"], str(bad)]) == 1
+    assert "ERROR: BadInput" in capsys.readouterr().out

@@ -15,6 +15,8 @@ from fullshift import (
     full_space,
 )
 from fullshift.constructions import (
+    _disjoint_corners,
+    _disjoint_moved_cylinder,
     check_clopen_transport,
     check_cylinder_involution,
     check_free_pair,
@@ -46,8 +48,13 @@ from helpers import (
     FULL3,
     GOLDEN,
     GOLDEN_REV,
+    POOL,
     SMALL_POOL,
+    long_cycle,
+    moved_cylinder_oracle,
+    proper_subcylinder_oracle,
     random_clopen,
+    random_matrix,
     search_order_oracle,
 )
 
@@ -131,8 +138,6 @@ def test_clopen_transport_order_insensitive():
     u = cylinder(FULL2, (1, 1)).union(cylinder(FULL2, (1, 2)))
     w = cylinder(FULL2, (2,))
     alpha = clopen_transport(u, w)
-    from fullshift.constructions import _disjoint_corners
-
     words = sorted(u.refine(2))
     pieces = [
         cylinder_involution(FULL2, word, corner)
@@ -148,6 +153,37 @@ def test_clopen_transport_order_insensitive():
     for piece in reversed(pieces):
         reversed_product = reversed_product.compose(piece)
     assert reversed_product.same_map(alpha)
+
+
+def test_first_branching_cylinder_matches_oracle():
+    rng = random.Random(43)
+    matrices = POOL + [FULL3] + [random_matrix(rng, rng.randint(2, 6)) for _ in range(20)]
+    for matrix in matrices:
+        sets = [full_space(matrix)]
+        sets += [cylinder(matrix, w) for k in (1, 2, 3) for w in matrix.words(k)]
+        sets += [random_clopen(rng, matrix, max_depth=3) for _ in range(10)]
+        for x in sets:
+            assert _disjoint_corners(x, 2)[0] == proper_subcylinder_oracle(x)
+
+
+def test_disjoint_corners_branch_far_below_the_target():
+    matrix = long_cycle(80)
+    corners = _disjoint_corners(cylinder(matrix, (3,)), 2)
+    track = tuple(range(3, 81)) + (1,)
+    assert [c.sorted_words() for c in corners] == [[track + (1,)], [track + (2,)]]
+    assert corners[0] == proper_subcylinder_oracle(cylinder(matrix, (3,)))
+
+
+def test_moved_cylinder_matches_oracle():
+    rng = random.Random(47)
+    tables = [t for m in (FULL2, GOLDEN, GOLDEN_REV) for t in enumerate_tables(m, 2, 3)]
+    tables += [t.inverse() for t in tables]
+    for _ in range(20):
+        matrix = random_matrix(rng, rng.randint(2, 5))
+        tables += list(enumerate_tables(matrix, 1, 2))
+    for t in tables:
+        if not t.reduce().is_identity:
+            assert _disjoint_moved_cylinder(t) == moved_cylinder_oracle(t)
 
 
 def test_paired_transport_example():

@@ -1,11 +1,19 @@
 """Property tests: each run draws the same examples (derandomized, no
 example database), so a failure reproduces on every run."""
 
-from hypothesis import given, settings
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fullshift import canonicalize_clopen
+from fullshift import FullShiftError, canonicalize_clopen
+from fullshift.cli import run
 from fullshift.constructions import enumerate_tables
+from fullshift.sft import format_matrix_text, parse_clopen_text, parse_matrix_text
+from fullshift.tables import parse_table_text
 
 from helpers import FULL2, GOLDEN, POOL
 
@@ -61,3 +69,50 @@ def test_support_equals_support_and_fixed(a, b):
         # read off the uniform view instead of the code
         moved = [w for w, image in t.entries.items() if image != w]
         assert support == canonicalize_clopen(t.matrix, moved)
+
+
+CLI_CASES = [
+    ("matrix", lambda mat, bad: ["validate-matrix", bad]),
+    ("matrix", lambda mat, bad: ["words", bad, "2"]),
+    ("matrix", lambda mat, bad: ["bf", bad]),
+    ("clopen", lambda mat, bad: ["clopen", mat, "canon", bad]),
+    ("clopen", lambda mat, bad: ["clopen-class", mat, bad]),
+    ("clopen", lambda mat, bad: ["construct", "4.10", mat, "--U", bad, "--V", bad]),
+    ("table", lambda mat, bad: ["table-validate", mat, bad]),
+    ("table", lambda mat, bad: ["verify", mat, bad]),
+    ("table", lambda mat, bad: ["order", mat, bad]),
+]
+
+
+def _parses(kind: str, text: str) -> bool:
+    try:
+        if kind == "matrix":
+            parse_matrix_text(text)
+        elif kind == "clopen":
+            parse_clopen_text(FULL2, text)
+        else:
+            parse_table_text(FULL2, text)
+    except FullShiftError:
+        return False
+    return True
+
+
+@SEEDED
+@given(st.sampled_from(CLI_CASES), st.binary(max_size=64))
+def test_arbitrary_bytes_in_input_files_are_diagnosed(case, data):
+    kind, argv = case
+    try:
+        valid = _parses(kind, data.decode("utf-8"))
+    except UnicodeDecodeError:
+        valid = False
+    assume(not valid)
+    with tempfile.TemporaryDirectory() as tmp:
+        mat = Path(tmp) / "full2.mat"
+        mat.write_text(format_matrix_text(FULL2))
+        bad = Path(tmp) / "input"
+        bad.write_bytes(data)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(argv(str(mat), str(bad)))
+    assert code == 1
+    assert "ERROR: " in out.getvalue()

@@ -31,6 +31,7 @@ from fullshift.sft import (
     parse_matrix_text,
     parse_point,
     point_in,
+    second_return,
 )
 
 from helpers import (
@@ -47,6 +48,7 @@ from helpers import (
     random_clopen,
     random_matrix,
     random_table,
+    second_return_oracle,
 )
 
 
@@ -221,6 +223,48 @@ def test_first_return_through_a_full_block():
     assert first_return(matrix, 1) == (2, 7, 8, 9, 10, 11, 12, 13, 14, 1)
     assert first_return(matrix, 8) == (9, 10, 11, 12, 13, 14, 1, 2, 7, 8)
     assert first_return(matrix, 2, min_len=2) == (2, 2)
+
+
+def test_second_return_matches_enumeration_oracle():
+    rng = random.Random(29)
+    matrices = POOL + [FULL3, FULL4] + [random_matrix(rng, rng.randint(2, 6)) for _ in range(40)]
+    for matrix in matrices:
+        for sym in matrix.symbols():
+            for min_len in range(2, 6):
+                ret = first_return(matrix, sym, min_len)
+                other = second_return(matrix, sym, ret)
+                assert other == second_return_oracle(matrix, sym, ret)
+                assert len(other) >= 3 and other[-1] == sym
+                assert matrix.is_admissible((sym,) + other)
+                k = min(len(other), len(ret))
+                assert other[:k] != ret[:k]
+
+
+def test_second_return_leaves_a_long_return_word():
+    # the 14-symbol matrix with a full 6-block: from 1 every word runs
+    # through the block, so whole-word enumeration grows sixfold per step
+    rows = [[0] * 14 for _ in range(14)]
+    rows[0][1] = 1
+    for i in range(1, 7):
+        rows[i][1:7] = [1] * 6
+    for i in range(6, 13):
+        rows[i][i + 1] = 1
+    rows[13][0] = 1
+    matrix = validate_matrix(rows)
+    ret = first_return(matrix, 8)
+    assert second_return(matrix, 8, ret) == (9, 10, 11, 12, 13, 14, 1, 2, 2, 7, 8)
+
+
+def test_continuation_count_has_no_recursion_limit():
+    assert FULL2.continuation_count(1, 1200) == 2 ** 1200
+    assert GOLDEN.continuation_count(2, 30) == GOLDEN.continuation_count(1, 29)
+    for matrix in POOL:
+        for k in range(6):
+            assert matrix.word_count(k) == len(matrix.words(k))
+            for sym in matrix.symbols():
+                assert matrix.continuation_count(sym, k) == len(
+                    list(matrix.extensions((sym,), k + 1))
+                )
 
 
 def test_distinct_path_pair_spec_cases():

@@ -63,6 +63,36 @@ def test_validate_table_partition_failures():
         validate_table(GOLDEN, {(1, 1): (1, 1), (1, 2): (1, 2), (2, 2): (2, 1)})
 
 
+def test_validate_table_names_least_missing_word_without_listing_words():
+    ones = (1,) * 40
+    with pytest.raises(BadDomain, match=r"domain misses word (1,){39}2$"):
+        validate_table(FULL2, {ones: ones})
+
+
+def test_validate_table_domain_diagnosis_matches_set_difference():
+    rng = random.Random(53)
+    for matrix in POOL:
+        for depth in (1, 2, 3):
+            words = list(matrix.words(depth))
+            for _ in range(20):
+                kept = rng.sample(words, rng.randint(1, len(words)))
+                bad = [w[:-1] + (matrix.n + 1,) for w in rng.sample(words, rng.randint(0, 2))]
+                domain = set(kept) | set(bad)
+                missing = sorted(set(words) - domain)
+                extra = sorted(domain - set(words))
+                expected = (
+                    f"domain misses word {','.join(map(str, missing[0]))}" if missing
+                    else f"domain has bad word {','.join(map(str, extra[0]))}" if extra
+                    else None
+                )
+                try:
+                    validate_table(matrix, {w: w for w in domain})
+                    message = None
+                except BadDomain as exc:
+                    message = str(exc)
+                assert message == expected
+
+
 def test_apply_spec_cases():
     one = EPPoint.make((), (1,))
     assert SWAP.apply(one) == EPPoint.make((2,), (1,))
