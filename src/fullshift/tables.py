@@ -424,32 +424,25 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
         if entries != {EMPTY_WORD: EMPTY_WORD}:
             raise BadDomain("a depth-0 table must map the empty word to itself")
         return TableMap(matrix, 0, {EMPTY_WORD: EMPTY_WORD})
-    if len(entries) < matrix.word_count(depth):
-        missing = _least_missing(matrix, entries, depth)
+    good = {w for w in entries if matrix.is_admissible(w)}
+    if len(good) < matrix.word_count(depth):
+        missing = _least_missing(matrix, good, depth)
         raise BadDomain(f"domain misses word {format_word(missing)}")
-    # the depth-L words are no more than the entries, so listing them is cheap
-    expected = set(matrix.words(depth))
-    have = set(entries)
-    if have != expected:
-        missing = sorted(expected - have)
-        extra = sorted(have - expected)
-        if missing:
-            raise BadDomain(f"domain misses word {format_word(missing[0])}")
-        raise BadDomain(f"domain has bad word {format_word(extra[0])}")
+    if len(good) < len(entries):
+        raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - good))}")
     validate_images(matrix, entries)
     return TableMap(matrix, depth, entries)
 
 
 def _least_missing(matrix: TransitionMatrix, words, depth: int) -> Word:
-    """The least admissible word of length depth not among `words`, which
-    must miss one.  Counts the admissible words under each prefix and
-    descends into the least child whose count falls short of its
-    cylinder's, without listing the depth-L words."""
+    """The least admissible word of length depth not among `words`, a set
+    of admissible words of that length that misses one.  Counts the words
+    under each prefix and descends into the least child whose count falls
+    short of its cylinder's, without listing the depth-L words."""
     have: dict[Word, int] = {}
     for w in words:
-        if matrix.is_admissible(w):
-            for k in range(1, depth + 1):
-                have[w[:k]] = have.get(w[:k], 0) + 1
+        for k in range(1, depth + 1):
+            have[w[:k]] = have.get(w[:k], 0) + 1
     prefix = EMPTY_WORD
     while len(prefix) < depth:
         rest = depth - len(prefix) - 1

@@ -308,9 +308,10 @@ def test_json_repeated_keys_become_lists(files, capsys):
 
 
 def test_construct_transports_on_a_long_cycle(files, tmp_path, capsys):
-    # below cylinder 3 the first two disjoint cylinders lie at depth 80
-    matrix = tmp_path / "cycle80.mat"
-    matrix.write_text(format_matrix_text(long_cycle(80)))
+    # below cylinder 3 the first two disjoint cylinders lie at depth 65, one
+    # level past a fixed cap of 64
+    matrix = tmp_path / "cycle65.mat"
+    matrix.write_text(format_matrix_text(long_cycle(65)))
     w = tmp_path / "w3.clo"
     w.write_text("D 1\n3\n")
     out = str(tmp_path / "t.tbl")
