@@ -28,6 +28,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .sft import (
+    CYLINDER_LIMIT,
     EMPTY_WORD,
     ClopenSet,
     EPPoint,
@@ -666,7 +667,7 @@ def search_tables(
     """
     yield TableMap.identity(matrix)
     top = image_bound
-    if matrix.word_count(top) > 1_000_000:
+    if matrix.word_count(top) > CYLINDER_LIMIT:
         raise BadInput(
             f"image bound {top} spans {matrix.word_count(top)} cylinders; "
             "search bookkeeping would not fit"

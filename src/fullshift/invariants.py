@@ -267,9 +267,14 @@ def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
 
 
 def shift_determinant(matrix: TransitionMatrix) -> int:
-    """det(A - I_N), the sign side of the classification condition."""
+    """det(I_N - A), the sign side of the classification condition.
+
+    det(I - A) is a flow-equivalence invariant (Parry-Sullivan), so all
+    presentations of one shift share it, whatever their sizes.
+    det(A - I_N) = (-1)^N det(I_N - A) is not: it flips sign between
+    presentations whose sizes differ in parity."""
     n = matrix.n
-    m = [[matrix.arc(i + 1, j + 1) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    m = [[(1 if i == j else 0) - matrix.arc(i + 1, j + 1) for j in range(n)] for i in range(n)]
     return determinant(m)
 
 
@@ -453,7 +458,7 @@ def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix
     """Compare the full groups of two shifts through the pointed invariant.
 
     A pointed mismatch refutes isomorphism unconditionally.  A pointed
-    match proves it when the two determinants det(A - I) multiply to a
+    match proves it when the two determinants det(I - A) multiply to a
     non-negative number; otherwise the comparison is reported inconclusive.
     """
     group_a, unit_a = bowen_franks(matrix_a)
@@ -464,9 +469,9 @@ def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix
     if pointed.verdict == "not_isomorphic":
         verdict, reason = "NOT_ISOMORPHIC", pointed.reason
     elif det_a * det_b >= 0:
-        verdict, reason = "ISOMORPHIC", "pointed groups match and det(A-I)det(B-I) >= 0"
+        verdict, reason = "ISOMORPHIC", "pointed groups match and det(I-A)det(I-B) >= 0"
     else:
-        verdict, reason = "INCONCLUSIVE", "pointed groups match but det(A-I)det(B-I) < 0"
+        verdict, reason = "INCONCLUSIVE", "pointed groups match but det(I-A)det(I-B) < 0"
     return IsoReport(
         verdict, reason, group_a, unit_a, group_b, unit_b, det_a, det_b, pointed
     )

@@ -27,6 +27,10 @@ Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 
+# The most cylinders one enumeration may list at a time: the CLI's word
+# listing and the table search's leaf bookkeeping both refuse to go past it.
+CYLINDER_LIMIT = 1_000_000
+
 
 class TransitionMatrix:
     """A validated N x N 0-1 matrix: essential, irreducible, not a permutation.
@@ -86,6 +90,8 @@ class TransitionMatrix:
         return counts[length][sym]
 
     def word_count(self, k: int) -> int:
+        if k < 0:
+            raise BadInput("word length must be non-negative")
         if k == 0:
             return 1
         return sum(self.continuation_count(s, k - 1) for s in self.symbols())

@@ -50,6 +50,14 @@ def random_matrix(rng: random.Random, n: int) -> TransitionMatrix:
     return validate_matrix([[1] * n for _ in range(n)])
 
 
+def two_block(matrix: TransitionMatrix) -> TransitionMatrix:
+    """The 2-block presentation: one symbol per admissible 2-word ij, and
+    ij -> jk.  The two one-sided shifts are conjugate, and the sizes of
+    the matrices may differ in parity."""
+    pairs = [(i, j) for i in matrix.symbols() for j in matrix.successors(i)]
+    return validate_matrix([[int(p[1] == q[0]) for q in pairs] for p in pairs])
+
+
 def long_cycle(n: int) -> TransitionMatrix:
     """The n-cycle 1 -> 2 -> ... -> n -> 1 with one branch, the loop 1 -> 1:
     below cylinder 3 no word branches before depth n."""

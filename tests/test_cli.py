@@ -1,11 +1,14 @@
 """Command-line surface: formats, exit codes, reports."""
 
 import json
+import re
+import time
+from pathlib import Path
 
 import pytest
 
-from fullshift.cli import run
-from fullshift.sft import format_clopen_text, format_matrix_text
+from fullshift.cli import COMMANDS, CONSTRUCTIONS, run
+from fullshift.sft import CYLINDER_LIMIT, format_clopen_text, format_matrix_text
 from fullshift.tables import format_table_text, validate_table
 
 from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle
@@ -53,15 +56,34 @@ def test_words(files, capsys):
     assert run(["words", files["golden.mat"], "2"]) == 0
     out = capsys.readouterr().out
     assert "COUNT: 3" in out
+    # 2^40 words would be listed one by one; the count is refused up front
+    start = time.perf_counter()
+    assert run(["words", files["full2.mat"], "40"]) == 1
+    assert time.perf_counter() - start < 2.0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        f"ERROR: BadInput: {2 ** 40} words of length 40 exceed the limit of {CYLINDER_LIMIT}"
+    )
+    assert run(["words", files["full2.mat"], "-1"]) == 1
+    assert "ERROR: BadInput: word length must be non-negative" in capsys.readouterr().out
 
 
-def test_decide_iso_full_shifts(files, capsys):
+def test_decide_iso_full_shifts(files, tmp_path, capsys):
     assert run(["decide-iso", files["full3.mat"], files["full4.mat"]]) == 0
     out = capsys.readouterr().out
     assert "VERDICT: NOT_ISOMORPHIC" in out
     assert run(["decide-iso", files["full2.mat"], files["golden.mat"]]) == 0
     out = capsys.readouterr().out
     assert "VERDICT: ISOMORPHIC" in out
+    # DET-A and DET-B are det(I - A): sizes 3 and 4, -1 against +1
+    a = tmp_path / "a.mat"
+    a.write_text("3\n0 0 1\n0 0 1\n1 1 0\n")
+    b = tmp_path / "b.mat"
+    b.write_text("4\n0 0 0 1\n0 0 1 1\n0 1 1 0\n1 1 0 1\n")
+    assert run(["decide-iso", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "DET-A: -1" in out and "DET-B: 1" in out
+    assert "VERDICT: ISOMORPHIC" not in out
 
 
 def test_compose_identity(files, tmp_path, capsys):
@@ -211,6 +233,7 @@ def test_json_reports(files, capsys):
     assert run(["--json", "bf", files["full3.mat"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["GROUP"] == "Z/2"
+    assert doc["report"]["DET"] == "-2"
     assert run(["bf", files["full3.mat"], "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["UNIT-ORDER"] == "2"
@@ -337,3 +360,215 @@ def test_non_utf8_input_is_diagnosed(files, tmp_path, capsys):
     assert f"ERROR: BadInput: {bad} is not UTF-8 text" in capsys.readouterr().out
     assert run(["table-validate", files["full2.mat"], str(bad)]) == 1
     assert "ERROR: BadInput" in capsys.readouterr().out
+
+
+def test_readme_lists_every_command_and_construction():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"^fullshift ([a-z-]+)", section, re.MULTILINE))
+    assert set(COMMANDS) <= shown, set(COMMANDS) - shown
+    ids = section.split("Construction ids:", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`([0-9.]+)`", ids))
+    assert set(CONSTRUCTIONS) <= listed, set(CONSTRUCTIONS) - listed
+
+
+# argv with symbolic file names: M is FULL2 (2 x 2, so DET is the same
+# under det(A - I) and det(I - A)), T a table, U a clopen set
+SURFACE = (
+    "-h",
+    "",
+    "no-such-command",
+    "bf -h",
+    "construct -h",
+    "bf M extra",
+    "words M x",
+    "order M T --bound q",
+    "--json bf M",
+    "bf --json M",
+    "--js bf M",
+    "construct 9.9 M",
+    "construct 2.1 M --U U --x |1",
+)
+
+
+def _surface_transcript(paths, capsys):
+    parts = []
+    for line in SURFACE:
+        argv = [paths.get(token, token) for token in line.split()]
+        code = run(argv)
+        captured = capsys.readouterr()
+        parts.append(f"$ fullshift {line}\n[exit {code}]\n{captured.out}[stderr]\n{captured.err}")
+    return "".join(parts)
+
+
+def test_cli_surface_is_pinned(files, capsys, monkeypatch):
+    """Help, usage errors, --json placement and construct diagnoses, byte
+    for byte: stdout, stderr and exit code of each call."""
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {"M": files["full2.mat"], "T": files["swap.tbl"], "U": files["u1.clo"]}
+    assert _surface_transcript(paths, capsys) == SURFACE_TEXT
+
+
+SURFACE_TEXT = """\
+$ fullshift -h
+[exit 0]
+usage: fullshift [-h] [--json]
+                 {validate-matrix,words,clopen,table-validate,compose,inverse,reduce,order,support,cocycles,commutes,local-member,split,construct,witness-search,bf,decide-iso,clopen-class,gamma-equiv,verify}
+                 ...
+
+Exact computations in continuous full groups of one-sided Markov shifts.
+
+positional arguments:
+  {validate-matrix,words,clopen,table-validate,compose,inverse,reduce,order,support,cocycles,commutes,local-member,split,construct,witness-search,bf,decide-iso,clopen-class,gamma-equiv,verify}
+    validate-matrix     validate a transition matrix file
+    words               admissible words of a given length
+    clopen              Boolean algebra of clopen sets
+    table-validate      validate a table file
+    compose             compose two tables (outer inner)
+    inverse             invert a table
+    reduce              canonical minimal-depth form of a table
+    order               order of a table in the group, within a bound
+    support             support and exact fixed-point set
+    cocycles            orbit cocycle constants per cylinder
+    commutes            whether two tables commute
+    local-member        membership in the local subgroup of a clopen set
+    split               factor a table over an invariant clopen set
+    construct           run a witness construction and verify it
+    witness-search      bounded exhaustive search for a table
+    bf                  pointed cokernel invariant of a matrix
+    decide-iso          compare the full groups of two matrices
+    clopen-class        cokernel class of a clopen set
+    gamma-equiv         decide equivalence of two clopen sets
+    verify              revalidate a table and print its full profile
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit the report as JSON
+[stderr]
+$ fullshift 
+[exit 2]
+[stderr]
+usage: fullshift [-h] [--json]
+                 {validate-matrix,words,clopen,table-validate,compose,inverse,reduce,order,support,cocycles,commutes,local-member,split,construct,witness-search,bf,decide-iso,clopen-class,gamma-equiv,verify}
+                 ...
+fullshift: error: the following arguments are required: command
+$ fullshift no-such-command
+[exit 2]
+[stderr]
+usage: fullshift [-h] [--json]
+                 {validate-matrix,words,clopen,table-validate,compose,inverse,reduce,order,support,cocycles,commutes,local-member,split,construct,witness-search,bf,decide-iso,clopen-class,gamma-equiv,verify}
+                 ...
+fullshift: error: argument command: invalid choice: 'no-such-command' (choose from 'validate-matrix', 'words', 'clopen', 'table-validate', 'compose', 'inverse', 'reduce', 'order', 'support', 'cocycles', 'commutes', 'local-member', 'split', 'construct', 'witness-search', 'bf', 'decide-iso', 'clopen-class', 'gamma-equiv', 'verify')
+$ fullshift bf -h
+[exit 0]
+usage: fullshift bf [-h] [--json] matrix
+
+positional arguments:
+  matrix
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit the report as JSON
+[stderr]
+$ fullshift construct -h
+[exit 0]
+usage: fullshift construct [-h] [--json] [--U U] [--V V] [--Y Y] [--W W]
+                           [--W2 W2] [--O O] [--x X] [--nu NU] [--eta ETA]
+                           [--witness WITNESS] [-o OUT]
+                           id matrix
+
+positional arguments:
+  id                 construction id: 2.1 2.2 2.4 3.11 4.1 4.3 4.4 4.10
+  matrix
+
+options:
+  -h, --help         show this help message and exit
+  --json             emit the report as JSON
+  --U U              clopen set file
+  --V V              clopen set file
+  --Y Y              clopen set file
+  --W W              clopen set file
+  --W2 W2            clopen set file
+  --O O              clopen set file
+  --x X              point as pre|per
+  --nu NU            word, comma separated
+  --eta ETA          table file
+  --witness WITNESS  table file carrying U onto V
+  -o OUT, --out OUT  output path or prefix for witness tables
+[stderr]
+$ fullshift bf M extra
+[exit 2]
+[stderr]
+usage: fullshift [-h] [--json]
+                 {validate-matrix,words,clopen,table-validate,compose,inverse,reduce,order,support,cocycles,commutes,local-member,split,construct,witness-search,bf,decide-iso,clopen-class,gamma-equiv,verify}
+                 ...
+fullshift: error: unrecognized arguments: extra
+$ fullshift words M x
+[exit 2]
+[stderr]
+usage: fullshift words [-h] [--json] matrix length
+fullshift words: error: argument length: invalid int value: 'x'
+$ fullshift order M T --bound q
+[exit 2]
+[stderr]
+usage: fullshift order [-h] [--json] [--bound BOUND] matrix table
+fullshift order: error: argument --bound: invalid int value: 'q'
+$ fullshift --json bf M
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COMMAND": "bf",
+    "DET": "-1",
+    "FREE-RANK": "0",
+    "GROUP": "0",
+    "INVARIANT-FACTORS": "none",
+    "UNIT-CLASS": "0 0",
+    "UNIT-ORDER": "1"
+  }
+}
+[stderr]
+$ fullshift bf --json M
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COMMAND": "bf",
+    "DET": "-1",
+    "FREE-RANK": "0",
+    "GROUP": "0",
+    "INVARIANT-FACTORS": "none",
+    "UNIT-CLASS": "0 0",
+    "UNIT-ORDER": "1"
+  }
+}
+[stderr]
+$ fullshift --js bf M
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COMMAND": "bf",
+    "DET": "-1",
+    "FREE-RANK": "0",
+    "GROUP": "0",
+    "INVARIANT-FACTORS": "none",
+    "UNIT-CLASS": "0 0",
+    "UNIT-ORDER": "1"
+  }
+}
+[stderr]
+$ fullshift construct 9.9 M
+[exit 1]
+COMMAND: construct
+ERROR: FullShiftError: unknown construction id '9.9'
+[stderr]
+$ fullshift construct 2.1 M --U U --x |1
+[exit 1]
+COMMAND: construct
+ERROR: FullShiftError: construction 2.1 needs --Y
+[stderr]
+"""

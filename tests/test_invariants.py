@@ -40,6 +40,7 @@ from helpers import (
     random_clopen,
     random_matrix,
     search_order_oracle,
+    two_block,
 )
 
 
@@ -109,6 +110,7 @@ def test_bowen_franks_spec_examples():
     assert group.is_trivial and unit.is_zero()
     assert shift_determinant(GOLDEN) == -1
     assert shift_determinant(FULL2) == -1
+    assert shift_determinant(full_shift(3)) == -2  # det(I - A), not det(A - I)
 
 
 def test_bowen_franks_full_shifts_against_enumeration_oracle():
@@ -284,10 +286,29 @@ def test_torsion_match_against_orbit_oracle():
                             assert got == want, (torsion, rep, b, modulus)
 
 
+def test_two_block_presentations_are_isomorphic():
+    # conjugate one-sided shifts whose matrix sizes differ in parity
+    assert two_block(GOLDEN).entries == ((1, 1, 0), (0, 0, 1), (1, 1, 0))
+    assert full_group_iso_decide(GOLDEN, two_block(GOLDEN)).verdict == "ISOMORPHIC"
+    rng = random.Random(7)
+    for _ in range(300):
+        a = random_matrix(rng, rng.randint(2, 5))
+        b = two_block(a)
+        assert shift_determinant(a) == shift_determinant(b)
+        assert full_group_iso_decide(a, b).verdict == "ISOMORPHIC", a.entries
+
+
 def test_full_group_iso_decide_spec_examples():
     assert full_group_iso_decide(FULL2, GOLDEN).verdict == "ISOMORPHIC"
     assert full_group_iso_decide(full_shift(3), full_shift(4)).verdict == "NOT_ISOMORPHIC"
     assert full_group_iso_decide(full_shift(5), full_shift(5)).verdict == "ISOMORPHIC"
+    # the full 2-shift class against Cuntz's 2- class: both groups are
+    # trivial, and only det(I - A) = -1 against det(I - B) = +1 tells them apart
+    a = validate_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    b = validate_matrix([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
+    result = full_group_iso_decide(a, b)
+    assert (result.det_a, result.det_b) == (-1, 1)
+    assert result.verdict != "ISOMORPHIC"
 
 
 def test_gamma_equivalent_spec_examples():

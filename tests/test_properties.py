@@ -2,6 +2,7 @@
 example database), so a failure reproduces on every run."""
 
 import io
+import random
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -12,10 +13,17 @@ from hypothesis import strategies as st
 from fullshift import FullShiftError, canonicalize_clopen
 from fullshift.cli import run
 from fullshift.constructions import enumerate_tables
-from fullshift.sft import format_matrix_text, parse_clopen_text, parse_matrix_text
-from fullshift.tables import parse_table_text
+from fullshift.sft import (
+    format_clopen_text,
+    format_matrix_text,
+    format_point,
+    parse_clopen_text,
+    parse_matrix_text,
+    parse_point,
+)
+from fullshift.tables import format_table_text, parse_table_text
 
-from helpers import FULL2, GOLDEN, POOL
+from helpers import FULL2, GOLDEN, POOL, enumerate_points, random_matrix, random_table
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -69,6 +77,53 @@ def test_support_equals_support_and_fixed(a, b):
         # read off the uniform view instead of the code
         moved = [w for w, image in t.entries.items() if image != w]
         assert support == canonicalize_clopen(t.matrix, moved)
+
+
+# format then parse is the identity, and parse then format gives the text back
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@SEEDED
+@given(st.one_of(
+    st.sampled_from(POOL),
+    st.builds(lambda seed, n: random_matrix(random.Random(seed), n), SEEDS, st.integers(2, 6)),
+))
+def test_matrix_text_round_trips(matrix):
+    text = format_matrix_text(matrix)
+    assert parse_matrix_text(text) == matrix
+    assert format_matrix_text(parse_matrix_text(text)) == text
+
+
+@SEEDED
+@given(admissible_word_lists())
+def test_clopen_text_round_trips(case):
+    matrix, words = case
+    clopen = canonicalize_clopen(matrix, words)
+    text = format_clopen_text(clopen)
+    assert parse_clopen_text(matrix, text) == clopen
+    assert format_clopen_text(parse_clopen_text(matrix, text)) == text
+
+
+@SEEDED
+@given(st.sampled_from(POOL), SEEDS)
+def test_table_text_round_trips(matrix, seed):
+    table = random_table(random.Random(seed), matrix)
+    text = format_table_text(table)
+    back = parse_table_text(matrix, text)
+    assert back == table  # equal tables have equal depths
+    assert format_table_text(back) == text
+
+
+POINTS = [point for m in POOL for point in enumerate_points(m, 2, 3)]
+
+
+@SEEDED
+@given(st.sampled_from(POINTS))
+def test_point_text_round_trips(point):
+    text = format_point(point)
+    assert parse_point(text) == point
+    assert format_point(parse_point(text)) == text
 
 
 CLI_CASES = [
