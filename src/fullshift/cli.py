@@ -43,6 +43,11 @@ from .sft import (
 )
 from .tables import CocycleTable, TableMap, format_table_text, parse_table_text
 
+# the most symbols `words` lists in all: every length up to 32 whose word
+# count is within CYLINDER_LIMIT still prints, and a slowly growing shift
+# cannot fill memory with long words under the count limit
+SYMBOL_LIMIT = 32 * CYLINDER_LIMIT
+
 
 class Report:
     """Accumulates KEY: value lines plus named PASS/FAIL checks."""
@@ -250,10 +255,12 @@ def _validate_matrix(args, report: Report) -> None:
 
 @_command("words", "admissible words of a given length", MATRIX, _arg("length", type=int))
 def _words(args, report: Report) -> None:
-    count = args.matrix.word_count(args.length)
-    if count > CYLINDER_LIMIT:
+    count = args.matrix.word_count_within(args.length, CYLINDER_LIMIT)
+    if count is None:
+        raise BadInput(f"more than {CYLINDER_LIMIT} words of length {args.length}")
+    if count * args.length > SYMBOL_LIMIT:
         raise BadInput(
-            f"{count} words of length {args.length} exceed the limit of {CYLINDER_LIMIT}"
+            f"{count} words of length {args.length} hold more than {SYMBOL_LIMIT} symbols"
         )
     report.add("LENGTH", args.length)
     report.add("COUNT", count)

@@ -274,15 +274,6 @@ def check_cylinder_involution(
 # transporting a clopen set into a disjoint one
 
 
-def _refined_count(clopen: ClopenSet, depth: int) -> int:
-    if clopen.depth == 0:
-        return clopen.matrix.word_count(depth) if not clopen.is_empty else 0
-    return sum(
-        clopen.matrix.continuation_count(w[-1], depth - clopen.depth)
-        for w in clopen.words
-    )
-
-
 def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
     """The `count` least cylinders of the nonempty target at the shallowest
     depth >= max(target.depth, 1) that has that many; they are pairwise
@@ -292,7 +283,7 @@ def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
     start = max(target.depth, 1)
     bound = start + target.matrix.n * count
     for depth in range(start, bound + 1):
-        if _refined_count(target, depth) >= count:
+        if target.count_at(depth) >= count:
             words = sorted(target.refine(depth))
             return [cylinder(target.matrix, w) for w in words[:count]]
     raise SearchLimitExceeded(
@@ -667,9 +658,9 @@ def search_tables(
     """
     yield TableMap.identity(matrix)
     top = image_bound
-    if matrix.word_count(top) > CYLINDER_LIMIT:
+    if matrix.word_count_within(top, CYLINDER_LIMIT) is None:
         raise BadInput(
-            f"image bound {top} spans {matrix.word_count(top)} cylinders; "
+            f"image bound {top} spans more than {CYLINDER_LIMIT} cylinders; "
             "search bookkeeping would not fit"
         )
     leaves = matrix.words(top)

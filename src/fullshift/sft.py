@@ -6,6 +6,10 @@ on: validated transition matrices, admissible words as plain tuples of
 eventually periodic points as (preperiod, period) pairs.  Everything is
 an immutable value and every operation is exact; two clopen sets denote
 the same subset of the shift space if and only if they compare equal.
+Relations between two clopen sets read the deeper set's words against
+the shallower set's words, one prefix lookup each, and only a union or
+the shallower set minus the deeper one writes words out at the deeper
+depth.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class TransitionMatrix:
     use :func:`validate_matrix` to build one from raw rows.
     """
 
-    __slots__ = ("n", "entries", "_succ", "_cont", "_words")
+    __slots__ = ("n", "entries", "_succ", "_after", "_cont", "_words")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         self.n = len(entries)
@@ -47,6 +51,10 @@ class TransitionMatrix:
         self._succ = (None,) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
         )
+        # _after[a][b]: the follower of a next after b (the least for b = 0),
+        # 0 after the last; a = 0 stands for the empty word.  Built by
+        # least_gap on first use.
+        self._after: tuple[dict[int, int], ...] | None = None
         # _cont[k][sym]: the number of words of length k that may follow sym
         self._cont: list[tuple[int, ...]] = [(1,) * (self.n + 1)]
         self._words: dict[int, tuple[Word, ...]] = {}
@@ -95,6 +103,30 @@ class TransitionMatrix:
         if k == 0:
             return 1
         return sum(self.continuation_count(s, k - 1) for s in self.symbols())
+
+    def word_count_within(self, k: int, limit: int) -> int | None:
+        """``word_count(k)`` when it is at most limit, else None.
+
+        One rolling row of counts by last symbol, with no table kept.  Every
+        symbol has a follower, so the count never falls as the length
+        grows, and the loop stops at the first length past the limit."""
+        if k < 0:
+            raise BadInput("word length must be non-negative")
+        if k == 0:
+            return 1 if limit >= 1 else None
+        succ = self._succ
+        row = [0] + [1] * self.n
+        total = self.n
+        for _ in range(k - 1):
+            if total > limit:
+                return None
+            nxt = [0] * (self.n + 1)
+            for a in self.symbols():
+                for b in succ[a]:
+                    nxt[b] += row[a]
+            row = nxt
+            total = sum(row)
+        return total if total <= limit else None
 
     def words(self, k: int) -> tuple[Word, ...]:
         """All admissible words of length k, lexicographically sorted."""
@@ -183,6 +215,14 @@ class ClopenSet:
     padded to a common length and merged back down whenever *every*
     present sibling family is complete.  The empty set is depth 0 with no
     words; the whole space is depth 0 with the empty word.
+
+    The relations go through :meth:`_split`, which sorts the deeper set's
+    words into those inside and outside the shallower set.  Comparison,
+    inclusion, intersection and the deeper set minus the shallower one
+    read that split and list no other words: their cost is linear in the
+    deeper set's words, plus at most one count per shallower word.  A
+    union, and the shallower set minus the deeper one, expand shallower
+    words to the deeper depth, as their result may need.
     """
 
     matrix: TransitionMatrix
@@ -233,39 +273,79 @@ class ClopenSet:
         rest = set(self.matrix.words(self.depth)) - self.words
         return canonicalize_clopen(self.matrix, rest)
 
+    def count_at(self, depth: int) -> int:
+        """``len(self.refine(depth))``, counted without listing the words."""
+        if depth < self.depth:
+            raise BadInput("cannot refine a clopen set to a smaller depth")
+        if self.depth == 0:
+            return self.matrix.word_count(depth) if self.words else 0
+        cont, gap = self.matrix.continuation_count, depth - self.depth
+        return sum(cont(w[-1], gap) for w in self.words)
+
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = self._common(other)
-        return canonicalize_clopen(self.matrix, a | b, trusted=True)
+        _, shallow, _, outside = self._split(other)
+        return canonicalize_clopen(self.matrix, [*shallow.words, *outside], trusted=True)
 
     def intersection(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = self._common(other)
-        return canonicalize_clopen(self.matrix, a & b, trusted=True)
+        _, _, inside, _ = self._split(other)
+        return canonicalize_clopen(self.matrix, inside, trusted=True)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = self._common(other)
-        return canonicalize_clopen(self.matrix, a - b, trusted=True)
+        deep, shallow, inside, outside = self._split(other)
+        if deep is self:
+            return canonicalize_clopen(self.matrix, outside, trusted=True)
+        # a shallower word the deeper set meets loses its inside extensions;
+        # the others stay whole
+        d, kept = shallow.depth, set(inside)
+        met = {w[:d] for w in inside}
+        out = [w for w in shallow.words if w not in met]
+        for w in met:
+            out.extend(x for x in self.matrix.extensions(w, deep.depth) if x not in kept)
+        return canonicalize_clopen(self.matrix, out, trusted=True)
 
     def compare(self, other: "ClopenSet") -> str:
         """Exact relation: equal, subset, superset, disjoint or overlapping."""
-        a, b = self._common(other)
-        if a == b:
+        deep, shallow, inside, outside = self._split(other)
+        deep_in = not outside
+        shallow_in = len(inside) == shallow.count_at(deep.depth)
+        self_in, other_in = (deep_in, shallow_in) if deep is self else (shallow_in, deep_in)
+        if self_in and other_in:
             return "equal"
-        if a <= b:
+        if self_in:
             return "subset"
-        if a >= b:
+        if other_in:
             return "superset"
-        if not a & b:
-            return "disjoint"
-        return "overlapping"
+        return "overlapping" if inside else "disjoint"
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
-        return self.compare(other) in ("equal", "subset")
+        deep, shallow, inside, outside = self._split(other)
+        if deep is self:
+            return not outside
+        return len(inside) == shallow.count_at(deep.depth)
 
-    def _common(self, other: "ClopenSet") -> tuple[frozenset[Word], frozenset[Word]]:
+    def _split(
+        self, other: "ClopenSet"
+    ) -> tuple["ClopenSet", "ClopenSet", list[Word], list[Word]]:
+        """The deeper operand read against the shallower one's words:
+        (deep, shallow, inside, outside), where a word of the deeper set is
+        inside when its prefix at the shallower depth is a word of the
+        shallower set.  On equal depths self is the deeper one.
+
+        So the inside words are the intersection and the outside words the
+        deeper set minus the shallower one, both at the deeper depth; the
+        deeper set lies in the shallower one iff nothing is outside, and the
+        shallower set lies in the deeper one iff every extension of its
+        words to the deeper depth is inside, which :meth:`count_at` counts.
+        """
         if self.matrix != other.matrix:
             raise MatrixMismatch("clopen sets live over different matrices")
-        d = max(self.depth, other.depth)
-        return self.refine(d), other.refine(d)
+        deep, shallow = (self, other) if self.depth >= other.depth else (other, self)
+        d, words = shallow.depth, shallow.words
+        inside: list[Word] = []
+        outside: list[Word] = []
+        for w in deep.words:
+            (inside if w[:d] in words else outside).append(w)
+        return deep, shallow, inside, outside
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words)
@@ -471,6 +551,45 @@ def second_return(matrix: TransitionMatrix, sym: int, ret: Word) -> Word:
         if length >= 3 and sym in best:
             return best[sym]
     raise SearchLimitExceeded(f"no second return word at {sym} within length {cap}")
+
+
+def least_gap(matrix: TransitionMatrix, words: list[Word]) -> Word | None:
+    """The largest cylinder at the least point that no word covers, or None
+    when the words cover the space.  The words are admissible, sorted and
+    pairwise prefix-incomparable, so their cylinders are disjoint intervals
+    of the lexicographic order on points, in the order of the list.
+
+    One sweep: the point p up to which the words have covered the space is
+    g followed by least followers, where g (``gap`` below) is the largest
+    cylinder whose least point is p.  The next word must be a prefix of p; it then covers
+    up to the end of its cylinder, and the next g is the word cut at its
+    last symbol that has a larger sibling, with that sibling.  Otherwise
+    the next word starts after p, and p's cylinder of length
+    max(len(g), c + 1) is the gap, where c is the length of the common
+    prefix of p and the word.  The cost is linear in the total length of
+    the words, with no counts.
+    """
+    after = matrix._after
+    if after is None:
+        rows = (tuple(matrix.symbols()),) + matrix._succ[1:]
+        after = matrix._after = tuple(dict(zip((0,) + r, r + (0,))) for r in rows)
+    gap: Word | None = EMPTY_WORD
+    for w in words:
+        if w[: len(gap)] != gap[: len(w)]:
+            return gap
+        prev = gap[-1] if gap else 0
+        for i in range(len(gap), len(w)):
+            least = after[prev][0]
+            prev = w[i]
+            if prev != least:
+                return w[:i] + (least,)
+        gap = None
+        for k in range(len(w) - 1, -1, -1):
+            b = after[w[k - 1] if k else 0][w[k]]
+            if b:
+                gap = w[:k] + (b,)
+                break
+    return gap
 
 
 def point_in(clopen: ClopenSet) -> EPPoint:

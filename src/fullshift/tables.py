@@ -47,6 +47,7 @@ from .sft import (
     Word,
     canonicalize_clopen,
     format_word,
+    least_gap,
     parse_word,
 )
 
@@ -410,8 +411,9 @@ class CocycleTable:
 def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
     """Check raw entries and return a valid uniform table, or diagnose.
 
-    Checks, in order: the domain is exactly the set of depth-L words; then
-    the images, as :func:`validate_images` does.
+    Checks, in order: the domain is exactly the set of depth-L words (a
+    missing word is found by :func:`least_gap`, without counting the
+    depth-L words); then the images, as :func:`validate_images` does.
     """
     entries = {tuple(k): tuple(v) for k, v in raw_entries.items()}
     if not entries:
@@ -425,8 +427,10 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
             raise BadDomain("a depth-0 table must map the empty word to itself")
         return TableMap(matrix, 0, {EMPTY_WORD: EMPTY_WORD})
     good = {w for w in entries if matrix.is_admissible(w)}
-    if len(good) < matrix.word_count(depth):
-        missing = _least_missing(matrix, good, depth)
+    missing = least_gap(matrix, sorted(good))
+    if missing is not None:
+        while len(missing) < depth:
+            missing += (matrix.successors(missing[-1])[0] if missing else 1,)
         raise BadDomain(f"domain misses word {format_word(missing)}")
     if len(good) < len(entries):
         raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - good))}")
@@ -434,30 +438,12 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
     return TableMap(matrix, depth, entries)
 
 
-def _least_missing(matrix: TransitionMatrix, words, depth: int) -> Word:
-    """The least admissible word of length depth not among `words`, a set
-    of admissible words of that length that misses one.  Counts the words
-    under each prefix and descends into the least child whose count falls
-    short of its cylinder's, without listing the depth-L words."""
-    have: dict[Word, int] = {}
-    for w in words:
-        for k in range(1, depth + 1):
-            have[w[:k]] = have.get(w[:k], 0) + 1
-    prefix = EMPTY_WORD
-    while len(prefix) < depth:
-        rest = depth - len(prefix) - 1
-        for a in matrix.successors(prefix[-1]) if prefix else matrix.symbols():
-            if have.get(prefix + (a,), 0) < matrix.continuation_count(a, rest):
-                prefix += (a,)
-                break
-    return prefix
-
-
 def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None:
     """Check the images of a complete prefix code of nonempty words, or
     diagnose: each image is admissible, nonempty and row-compatible with
     its domain word; the image cylinders are pairwise disjoint; they cover
-    the whole space."""
+    the whole space, else the diagnosis names the gap that
+    :func:`least_gap` finds."""
     for nu, rho in code.items():
         if not rho:
             raise RowMismatch(f"entry {format_word(nu)} has an empty image")
@@ -472,12 +458,9 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
     for a, b in zip(images, images[1:]):
         if b[: len(a)] == a:
             raise ImagesOverlap(f"images {format_word(a)} and {format_word(b)} intersect")
-    top = max(len(r) for r in images)
-    covered = sum(matrix.continuation_count(r[-1], top - len(r)) for r in images)
-    if covered != matrix.word_count(top):
-        raise ImagesDontCover(
-            f"images cover {covered} of {matrix.word_count(top)} depth-{top} cylinders"
-        )
+    gap = least_gap(matrix, images)
+    if gap is not None:
+        raise ImagesDontCover(f"images miss cylinder {format_word(gap)}")
 
 
 def compose(outer: TableMap, inner: TableMap) -> TableMap:

@@ -201,6 +201,38 @@ def second_return_oracle(matrix: TransitionMatrix, sym: int, ret):
     return None
 
 
+def clopen_relations_oracle(x: ClopenSet, y: ClopenSet) -> dict:
+    """compare, is_subset_of, union, intersection and difference of x and y,
+    with both sets refined to the deeper depth (the former library code)."""
+    depth = max(x.depth, y.depth)
+    a, b = x.refine(depth), y.refine(depth)
+    if a == b:
+        relation = "equal"
+    elif a <= b:
+        relation = "subset"
+    elif a >= b:
+        relation = "superset"
+    elif not a & b:
+        relation = "disjoint"
+    else:
+        relation = "overlapping"
+    return {
+        "compare": relation,
+        "is_subset_of": a <= b,
+        "union": canonicalize_clopen(x.matrix, a | b),
+        "intersection": canonicalize_clopen(x.matrix, a & b),
+        "difference": canonicalize_clopen(x.matrix, a - b),
+    }
+
+
+def images_cover_oracle(matrix: TransitionMatrix, images) -> bool:
+    """Whether pairwise disjoint image cylinders cover the space, by counting
+    their extensions to the longest image length (the former library check)."""
+    top = max(len(r) for r in images)
+    covered = sum(matrix.continuation_count(r[-1], top - len(r)) for r in images)
+    return covered == matrix.word_count(top)
+
+
 def proper_subcylinder_oracle(clopen: ClopenSet) -> ClopenSet:
     """The least cylinder at the first depth >= max(depth, 1) where the set
     has two words, refining one level at a time (the former library loop)."""

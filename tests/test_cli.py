@@ -3,13 +3,15 @@
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fullshift.cli import COMMANDS, CONSTRUCTIONS, run
-from fullshift.sft import CYLINDER_LIMIT, format_clopen_text, format_matrix_text
-from fullshift.tables import format_table_text, validate_table
+from fullshift.cli import COMMANDS, CONSTRUCTIONS, SYMBOL_LIMIT, run
+from fullshift.errors import ImagesDontCover
+from fullshift.sft import CYLINDER_LIMIT, format_clopen_text, format_matrix_text, parse_matrix_text
+from fullshift.tables import format_table_text, parse_table_text, validate_table
 
 from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle
 
@@ -62,10 +64,36 @@ def test_words(files, capsys):
     assert time.perf_counter() - start < 2.0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == (
-        f"ERROR: BadInput: {2 ** 40} words of length 40 exceed the limit of {CYLINDER_LIMIT}"
+        f"ERROR: BadInput: more than {CYLINDER_LIMIT} words of length 40"
     )
     assert run(["words", files["full2.mat"], "-1"]) == 1
     assert "ERROR: BadInput: word length must be non-negative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("length", ["20000", "1000000"])
+def test_words_refuses_huge_lengths_at_once(files, capsys, length):
+    # the count stops at the first length past the limit: no big integer is
+    # formatted and no count table of a million rows is built
+    start = time.perf_counter()
+    assert run(["words", files["full2.mat"], length]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"ERROR: BadInput: more than {CYLINDER_LIMIT} words of length {length}"
+    )
+
+
+def test_words_bounds_total_symbols(tmp_path, capsys):
+    matrix = tmp_path / "cycle65.mat"
+    matrix.write_text(format_matrix_text(long_cycle(65)))
+    assert run(["words", str(matrix), "32"]) == 0
+    assert f"COUNT: {long_cycle(65).word_count(32)}" in capsys.readouterr().out
+    # 995,345 words of 193 symbols: under the count limit, but refused up front
+    start = time.perf_counter()
+    assert run(["words", str(matrix), "193"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"ERROR: BadInput: 995345 words of length 193 hold more than {SYMBOL_LIMIT} symbols"
+    )
 
 
 def test_decide_iso_full_shifts(files, tmp_path, capsys):
@@ -229,6 +257,20 @@ def test_witness_search_rejects_order_below_one(files, capsys):
         assert "RESULT" not in out
 
 
+def test_witness_search_refuses_huge_image_bound(files, capsys):
+    start = time.perf_counter()
+    code = run([
+        "witness-search", files["full2.mat"], "--depth-bound", "1",
+        "--image-bound", "20000", "--order", "2",
+    ])
+    assert code == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"ERROR: BadInput: image bound 20000 spans more than {CYLINDER_LIMIT} cylinders; "
+        "search bookkeeping would not fit"
+    )
+
+
 def test_json_reports(files, capsys):
     assert run(["--json", "bf", files["full3.mat"]]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -350,7 +392,31 @@ def test_long_image_is_diagnosed(files, tmp_path, capsys):
     path = tmp_path / "long.tbl"
     path.write_text("L 1\n1 -> " + ",".join(["1"] * 1200) + "\n2 -> 2\n")
     assert run(["table-validate", files["full2.mat"], str(path)]) == 1
-    assert "ERROR: ImagesDontCover: images cover" in capsys.readouterr().out
+    assert "ERROR: ImagesDontCover: images miss cylinder " + "1," * 1199 + "2\n" in (
+        capsys.readouterr().out
+    )
+
+
+def test_very_long_image_is_diagnosed(files, tmp_path, capsys):
+    path = tmp_path / "long.tbl"
+    path.write_text("L 1\n1 -> " + ",".join(["1"] * 15000) + "\n2 -> 2\n")
+    assert run(["table-validate", files["full2.mat"], str(path)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "ERROR: ImagesDontCover: images miss cylinder " + "1," * 14999 + "2"
+
+
+def test_long_image_cover_check_memory():
+    # the sweep keeps no counts, so memory stays linear in the input
+    text = "L 1\n1 -> " + ",".join(["1"] * 30000) + "\n2 -> 2\n"
+    matrix = parse_matrix_text(format_matrix_text(FULL2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImagesDontCover):
+            parse_table_text(matrix, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_non_utf8_input_is_diagnosed(files, tmp_path, capsys):

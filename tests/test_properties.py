@@ -13,19 +13,34 @@ from hypothesis import strategies as st
 from fullshift import FullShiftError, canonicalize_clopen
 from fullshift.cli import run
 from fullshift.constructions import enumerate_tables
+from fullshift.errors import ImagesDontCover
 from fullshift.sft import (
+    ClopenSet,
+    empty_set,
     format_clopen_text,
     format_matrix_text,
     format_point,
+    full_space,
     parse_clopen_text,
     parse_matrix_text,
     parse_point,
 )
-from fullshift.tables import format_table_text, parse_table_text
+from fullshift.tables import format_table_text, parse_table_text, validate_images
 
-from helpers import FULL2, GOLDEN, POOL, enumerate_points, random_matrix, random_table
+from helpers import (
+    FULL2,
+    GOLDEN,
+    POOL,
+    clopen_relations_oracle,
+    enumerate_points,
+    images_cover_oracle,
+    random_matrix,
+    random_table,
+)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 TABLES = [t for m in (FULL2, GOLDEN) for t in enumerate_tables(m, 2, 3)]
 
@@ -66,6 +81,77 @@ def test_trusted_canonical_form_equals_checked(case):
         )
 
 
+@st.composite
+def clopen_pairs(draw):
+    """Two clopen sets over one matrix: empty, full, canonical, or words of
+    one depth taken as they are (a ClopenSet that need not be canonical);
+    the second is drawn at the first one's depth half of the time."""
+    matrix = draw(st.sampled_from(POOL))
+
+    def clopen(depth=None):
+        kind = draw(st.sampled_from(["empty", "full", "canonical", "raw"]))
+        if kind == "empty":
+            return empty_set(matrix)
+        if kind == "full":
+            return full_space(matrix)
+        depth = depth or draw(st.integers(1, 4))
+        words = draw(st.lists(st.sampled_from(matrix.words(depth)), max_size=12))
+        if kind == "canonical":
+            return canonicalize_clopen(matrix, words)
+        return ClopenSet(matrix, depth, frozenset(words))
+
+    x = clopen()
+    return x, clopen(x.depth if x.depth and draw(st.booleans()) else None)
+
+
+@SEEDED
+@given(clopen_pairs())
+def test_clopen_relations_agree_with_common_depth_oracle(pair):
+    for x, y in (pair, pair[::-1]):
+        expected = clopen_relations_oracle(x, y)
+        assert x.compare(y) == expected["compare"]
+        assert x.is_subset_of(y) == expected["is_subset_of"]
+        assert x.union(y) == expected["union"]
+        assert x.intersection(y) == expected["intersection"]
+        assert x.difference(y) == expected["difference"]
+
+
+@SEEDED
+@given(st.sampled_from(POOL), SEEDS, st.sampled_from(["drop", "extend", "shorten"]))
+def test_image_cover_sweep_agrees_with_counting_oracle(matrix, seed, how):
+    rng = random.Random(seed)
+    table = random_table(rng, matrix)
+    code = dict(table.refine_to(max(table.depth, 1)).entries)
+    nu = rng.choice(sorted(code))
+    rho = code[nu]
+    if how == "drop" and len(code) > 1:
+        del code[nu]
+    elif how == "extend":
+        row = [b for b in matrix.successors(rho[-1]) if matrix.row(b) == matrix.row(nu[-1])]
+        if row:
+            code[nu] = rho + (rng.choice(row),)
+    elif how == "shorten" and len(rho) > 1 and matrix.row(rho[-2]) == matrix.row(nu[-1]):
+        code[nu] = rho[:-1]
+    images = sorted(code.values())
+    try:
+        validate_images(matrix, code)
+    except ImagesDontCover as exc:
+        assert not images_cover_oracle(matrix, images)
+        gap = tuple(int(a) for a in str(exc).rsplit(" ", 1)[1].split(","))
+        assert matrix.is_admissible(gap)
+        assert all(r[: len(gap)] != gap[: len(r)] for r in images)
+        # every point before the gap is covered
+        top = max(len(gap), *map(len, images))
+        for w in matrix.words(top):
+            if w[: len(gap)] >= gap:
+                break
+            assert any(w[: len(r)] == r for r in images)
+    except FullShiftError:
+        return
+    else:
+        assert images_cover_oracle(matrix, images)
+
+
 @SEEDED
 @given(st.sampled_from(TABLES), st.sampled_from(TABLES))
 def test_support_equals_support_and_fixed(a, b):
@@ -80,8 +166,6 @@ def test_support_equals_support_and_fixed(a, b):
 
 
 # format then parse is the identity, and parse then format gives the text back
-
-SEEDS = st.integers(0, 2**32 - 1)
 
 
 @SEEDED
