@@ -4,8 +4,10 @@ For an ambient matrix A of size N the group is the cokernel of A^t - I_N
 acting on integer vectors, computed exactly through a Smith normal form
 with recorded unimodular transforms.  The class of the all-ones vector is
 distinguished: full groups of two shifts are isomorphic exactly when the
-pointed groups match, granted the determinant condition, and the pointed
-group is an unconditional obstruction either way.
+pointed groups match and det(I - A) = det(I - B).  The source paper shows
+that the full groups are isomorphic exactly when the one-sided shifts are
+continuously orbit equivalent, and Matsumoto-Matui (Kyoto J. Math. 54,
+2014) classify that by these two invariants.
 
 Classes of clopen sets live in the same cokernel (the class of a cylinder
 is the basis class of its final symbol), giving the cheap negative
@@ -15,7 +17,8 @@ certificate for equivalence of clopen sets under the group action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd, inf, prod
+from operator import mul
 from typing import Callable
 
 from .constructions import _candidate_images, _run_search
@@ -34,76 +37,83 @@ def smith_normal_form(
     """Diagonalize an integer matrix by unimodular row and column moves.
 
     Returns (S, P, Q) with P * mat * Q = S, S diagonal with each entry
-    dividing the next, P and Q of determinant +-1.  The identities are
-    re-checked on every call; exact arithmetic throughout.
+    dividing the next, zeros last, and P and Q of determinant +-1.  Exact
+    arithmetic throughout.
+
+    The elimination is part of the contract, because the coordinates that
+    :meth:`BFGroup.element` prints are read through P.  Step t pivots on
+    the first entry of least absolute value in row-major order among rows
+    and columns >= t, clears column t by ``row_i -= k row_t`` and row t by
+    ``col_j -= k col_t`` with k the floor quotient by the pivot, and while
+    some entry below and right of the pivot is not divisible by it, adds
+    the first such row to row t and starts the step again.  A negative
+    diagonal entry has its row negated.  Any other order of the same moves
+    can give another valid (P, Q) and other printed coordinates.
+
+    Every call re-checks the result exactly, see :func:`_check_snf`.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     s = [list(r) for r in mat]
     p = [[int(i == j) for j in range(rows)] for i in range(rows)]
     q = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, k):  # row_i -= k * row_j
-        s[i] = [a - k * b for a, b in zip(s[i], s[j])]
-        p[i] = [a - k * b for a, b in zip(p[i], p[j])]
-
-    def col_op(i, j, k):  # col_i -= k * col_j
-        for r in s:
-            r[i] -= k * r[j]
-        for r in q:
-            r[i] -= k * r[j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-
     for t in range(min(rows, cols)):
         while True:
+            # first entry of least absolute value; nothing is less than 1
             pivot = None
             for i in range(t, rows):
+                row = s[i]
                 for j in range(t, cols):
-                    if s[i][j] and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    if row[j] and (pivot is None or abs(row[j]) < least):
+                        pivot, least = (i, j), abs(row[j])
+                        if least == 1:
+                            break
+                else:
+                    continue
+                break
             if pivot is None:
                 break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+            i, j = pivot
+            if i != t:
+                s[t], s[i] = s[i], s[t]
+                p[t], p[i] = p[i], p[t]
+            if j != t:
+                for r in s:
+                    r[t], r[j] = r[j], r[t]
+                for r in q:
+                    r[t], r[j] = r[j], r[t]
+            st, pt = s[t], p[t]
+            d = st[t]
             dirty = False
             for i in range(t + 1, rows):
-                k = s[i][t] // s[t][t]
+                k = s[i][t] // d
                 if k:
-                    row_op(i, t, k)
+                    s[i] = [a - k * b for a, b in zip(s[i], st)]
+                    p[i] = [a - k * b for a, b in zip(p[i], pt)]
                 if s[i][t]:
                     dirty = True
-            for j in range(t + 1, cols):
-                k = s[t][j] // s[t][t]
-                if k:
-                    col_op(j, t, k)
-                if s[t][j]:
-                    dirty = True
-            if dirty:
+            # column t stays as it is while the columns right of it are
+            # reduced, so every multiple can be read before any move
+            moves = [(j, k) for j in range(t + 1, cols) if (k := st[j] // d)]
+            if moves:
+                for r in s + q:
+                    c = r[t]
+                    if c:
+                        for j, k in moves:
+                            r[j] -= k * c
+            if dirty or any(st[t + 1 :]):
                 continue
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % s[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if d in (1, -1):  # a unit divides every entry
+                break
+            offender = next(
+                (i for i in range(t + 1, rows) if any(a % d for a in s[i][t + 1 :])), None
+            )
             if offender is None:
                 break
-            row_op(t, offender, -1)
-        if t < rows and t < cols and s[t][t] < 0:
+            so, po = s[offender], p[offender]
+            s[t] = [a + b for a, b in zip(st, so)]
+            p[t] = [a + b for a, b in zip(pt, po)]
+        if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             p[t] = [-a for a in p[t]]
     _check_snf(mat, s, p, q)
@@ -111,30 +121,37 @@ def smith_normal_form(
 
 
 def _check_snf(mat, s, p, q):
+    """Raise AssertionError unless P * mat * Q = S, S is diagonal with a
+    divisibility chain and its zeros last, and P and Q are unimodular.
+
+    P * mat * Q = S gives det P * det mat * det Q = d_1 ... d_r for a
+    square input.  So when that product is nonzero, |d_1 ... d_r| =
+    |det mat| forces |det P| = |det Q| = 1, and one determinant of the
+    input certifies both transforms.  Singular and non-square inputs have
+    det P and det Q computed."""
     rows, cols = len(mat), len(mat[0]) if mat else 0
-    pm = _mat_mul(p, mat)
-    pmq = _mat_mul(pm, q)
-    if pmq != s:
+    if _mat_mul(_mat_mul(p, mat), q) != s:
         raise AssertionError("smith normal form transform identity failed")
-    for i in range(rows):
-        for j in range(cols):
-            if i != j and s[i][j]:
-                raise AssertionError("smith normal form is not diagonal")
+    if any(v for i, r in enumerate(s) for j, v in enumerate(r) if i != j):
+        raise AssertionError("smith normal form is not diagonal")
     diag = [s[i][i] for i in range(min(rows, cols))]
     for a, b in zip(diag, diag[1:]):
         if a and b % a:
             raise AssertionError("smith normal form divisibility chain failed")
         if a == 0 and b != 0:
             raise AssertionError("smith normal form zero ordering failed")
-    if abs(determinant(p)) != 1 or abs(determinant(q)) != 1:
+    product = prod(diag)
+    if rows == cols and product:
+        unimodular = abs(product) == abs(determinant(mat))
+    else:
+        unimodular = abs(determinant(p)) == 1 and abs(determinant(q)) == 1
+    if not unimodular:
         raise AssertionError("smith normal form transforms are not unimodular")
 
 
 def _mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def determinant(mat: list[list[int]]) -> int:
@@ -154,11 +171,12 @@ def determinant(mat: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        pivot, tail = a[k][k], a[k][k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            c = row[k]
+            row[k + 1 :] = [(x * pivot - c * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
@@ -253,10 +271,7 @@ class GroupElement:
 def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
     """The cokernel of A^t - I_N with the class of the all-ones vector."""
     n = matrix.n
-    m = [
-        [matrix.arc(j + 1, i + 1) - (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
+    m = [[v - (i == j) for j, v in enumerate(col)] for i, col in enumerate(zip(*matrix.entries))]
     s, p, q = smith_normal_form(m)
     diag = tuple(s[i][i] for i in range(n))
     group = BFGroup(
@@ -273,9 +288,9 @@ def shift_determinant(matrix: TransitionMatrix) -> int:
     presentations of one shift share it, whatever their sizes.
     det(A - I_N) = (-1)^N det(I_N - A) is not: it flips sign between
     presentations whose sizes differ in parity."""
-    n = matrix.n
-    m = [[(1 if i == j else 0) - matrix.arc(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    return determinant(m)
+    return determinant(
+        [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix.entries)]
+    )
 
 
 def clopen_class(clopen: ClopenSet, group: BFGroup | None = None) -> GroupElement:
@@ -443,7 +458,7 @@ class IsoReport:
     """Verdict of the full-group comparison together with everything the
     verdict was read off from."""
 
-    verdict: str  # ISOMORPHIC | NOT_ISOMORPHIC | INCONCLUSIVE
+    verdict: str  # ISOMORPHIC | NOT_ISOMORPHIC
     reason: str
     group_a: BFGroup
     unit_a: GroupElement
@@ -455,11 +470,16 @@ class IsoReport:
 
 
 def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix) -> IsoReport:
-    """Compare the full groups of two shifts through the pointed invariant.
+    """Decide whether the full groups of two shifts are isomorphic; the
+    verdict is exact.
 
-    A pointed mismatch refutes isomorphism unconditionally.  A pointed
-    match proves it when the two determinants det(I - A) multiply to a
-    non-negative number; otherwise the comparison is reported inconclusive.
+    The full groups are isomorphic exactly when the one-sided shifts are
+    continuously orbit equivalent (the source paper), and Matsumoto-Matui
+    (Kyoto J. Math. 54, 2014) prove that happens exactly when an
+    isomorphism coker(I - A^t) -> coker(I - B^t) carries [1_A] to [1_B]
+    and det(I - A) = det(I - B).  A pointed mismatch therefore refutes
+    isomorphism, and after a pointed match, which already makes the
+    absolute values of the determinants agree, their equality decides.
     """
     group_a, unit_a = bowen_franks(matrix_a)
     group_b, unit_b = bowen_franks(matrix_b)
@@ -468,10 +488,14 @@ def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix
     pointed = pointed_iso_decide(group_a, unit_a, group_b, unit_b)
     if pointed.verdict == "not_isomorphic":
         verdict, reason = "NOT_ISOMORPHIC", pointed.reason
-    elif det_a * det_b >= 0:
-        verdict, reason = "ISOMORPHIC", "pointed groups match and det(I-A)det(I-B) >= 0"
+    elif det_a == det_b:
+        verdict, reason = "ISOMORPHIC", (
+            "pointed groups match and det(I-A) = det(I-B) (Matsumoto-Matui 2014)"
+        )
     else:
-        verdict, reason = "INCONCLUSIVE", "pointed groups match but det(I-A)det(I-B) < 0"
+        verdict, reason = "NOT_ISOMORPHIC", (
+            "pointed groups match but det(I-A) != det(I-B) (Matsumoto-Matui 2014)"
+        )
     return IsoReport(
         verdict, reason, group_a, unit_a, group_b, unit_b, det_a, det_b, pointed
     )

@@ -270,8 +270,20 @@ class ClopenSet:
         return any(w[: len(word)] == word for w in self.words)
 
     def complement(self) -> "ClopenSet":
-        rest = set(self.matrix.words(self.depth)) - self.words
-        return canonicalize_clopen(self.matrix, rest)
+        """Every word of this set's depth not in it, canonicalized.  The
+        words are listed, so a depth with more than ``CYLINDER_LIMIT``
+        words is refused before any is listed."""
+        matrix, depth = self.matrix, self.depth
+        # at most n ** depth words exist, so a shallow set skips the count
+        if (
+            matrix.n ** depth > CYLINDER_LIMIT
+            and matrix.word_count_within(depth, CYLINDER_LIMIT) is None
+        ):
+            raise BadInput(
+                f"the complement at depth {depth} spans more than {CYLINDER_LIMIT} cylinders"
+            )
+        rest = set(matrix.words(depth)) - self.words
+        return canonicalize_clopen(matrix, rest)
 
     def count_at(self, depth: int) -> int:
         """``len(self.refine(depth))``, counted without listing the words."""

@@ -50,12 +50,12 @@ def random_matrix(rng: random.Random, n: int) -> TransitionMatrix:
     return validate_matrix([[1] * n for _ in range(n)])
 
 
-def two_block(matrix: TransitionMatrix) -> TransitionMatrix:
-    """The 2-block presentation: one symbol per admissible 2-word ij, and
-    ij -> jk.  The two one-sided shifts are conjugate, and the sizes of
-    the matrices may differ in parity."""
-    pairs = [(i, j) for i in matrix.symbols() for j in matrix.successors(i)]
-    return validate_matrix([[int(p[1] == q[0]) for q in pairs] for p in pairs])
+def block_presentation(matrix: TransitionMatrix, k: int) -> TransitionMatrix:
+    """The k-block presentation: one symbol per admissible k-word, and
+    a_1 ... a_k -> a_2 ... a_k+1.  The two one-sided shifts are conjugate,
+    and the sizes of the matrices may differ in parity."""
+    blocks = matrix.words(k)
+    return validate_matrix([[int(u[1:] == v[:-1]) for v in blocks] for u in blocks])
 
 
 def long_cycle(n: int) -> TransitionMatrix:
@@ -458,6 +458,80 @@ def search_order_oracle(matrix: TransitionMatrix, depth_bound: int, image_bound:
 
         backtrack(0, 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form oracle: the elimination as first written
+
+
+def smith_normal_form_oracle(mat):
+    """(S, P, Q) of the straightforward elimination that
+    ``invariants.smith_normal_form`` must reproduce integer for integer:
+    pivot on the first entry of least absolute value in row-major order,
+    clear its column by row moves and its row by column moves, one
+    ``col_i -= k col_j`` at a time, and add an offending row to the pivot
+    row when divisibility fails.  Nothing is re-checked."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    s = [list(r) for r in mat]
+    p = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    q = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, k):  # row_i -= k * row_j
+        s[i] = [a - k * b for a, b in zip(s[i], s[j])]
+        p[i] = [a - k * b for a, b in zip(p[i], p[j])]
+
+    def col_op(i, j, k):  # col_i -= k * col_j
+        for r in s:
+            r[i] -= k * r[j]
+        for r in q:
+            r[i] -= k * r[j]
+
+    for t in range(min(rows, cols)):
+        while True:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if s[i][j] and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != t:
+                s[t], s[pivot[0]] = s[pivot[0]], s[t]
+                p[t], p[pivot[0]] = p[pivot[0]], p[t]
+            if pivot[1] != t:
+                for r in s + q:
+                    r[t], r[pivot[1]] = r[pivot[1]], r[t]
+            dirty = False
+            for i in range(t + 1, rows):
+                k = s[i][t] // s[t][t]
+                if k:
+                    row_op(i, t, k)
+                if s[i][t]:
+                    dirty = True
+            for j in range(t + 1, cols):
+                k = s[t][j] // s[t][t]
+                if k:
+                    col_op(j, t, k)
+                if s[t][j]:
+                    dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if s[i][j] % s[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+            p[t] = [-a for a in p[t]]
+    return s, p, q
 
 
 # ---------------------------------------------------------------------------

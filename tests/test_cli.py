@@ -82,6 +82,17 @@ def test_words_refuses_huge_lengths_at_once(files, capsys, length):
     )
 
 
+def test_clopen_complement_refuses_huge_depth_at_once(files, tmp_path, capsys):
+    clopen = tmp_path / "deep.clo"
+    clopen.write_text("D 40\n" + ",".join(["1"] * 40) + "\n")
+    start = time.perf_counter()
+    assert run(["clopen", files["full2.mat"], "complement", str(clopen)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"ERROR: BadInput: the complement at depth 40 spans more than {CYLINDER_LIMIT} cylinders"
+    )
+
+
 def test_words_bounds_total_symbols(tmp_path, capsys):
     matrix = tmp_path / "cycle65.mat"
     matrix.write_text(format_matrix_text(long_cycle(65)))
@@ -111,7 +122,7 @@ def test_decide_iso_full_shifts(files, tmp_path, capsys):
     assert run(["decide-iso", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "DET-A: -1" in out and "DET-B: 1" in out
-    assert "VERDICT: ISOMORPHIC" not in out
+    assert "VERDICT: NOT_ISOMORPHIC" in out
 
 
 def test_compose_identity(files, tmp_path, capsys):

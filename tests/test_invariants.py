@@ -19,6 +19,7 @@ from fullshift import (
 )
 from fullshift.invariants import (
     BFGroup,
+    _check_snf,
     _torsion_match,
     determinant,
     maps_onto_candidates,
@@ -31,6 +32,7 @@ from helpers import (
     FULL3,
     GOLDEN,
     POOL,
+    block_presentation,
     cokernel_orders,
     group_element_orders,
     hom_count,
@@ -40,7 +42,7 @@ from helpers import (
     random_clopen,
     random_matrix,
     search_order_oracle,
-    two_block,
+    smith_normal_form_oracle,
 )
 
 
@@ -58,6 +60,48 @@ def test_smith_normal_form_randomized():
         diag = [s[i][i] for i in range(min(n, m))]
         nonzero = [d for d in diag if d]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def test_smith_normal_form_matches_oracle_on_random_matrices():
+    # the transforms, not only S, must be the oracle's: printed
+    # coordinates are read through P
+    rng = random.Random(31)
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        mat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.25:
+            mat[rng.randrange(n)] = [0] * m
+        if rng.random() < 0.25:
+            j = rng.randrange(m)
+            for row in mat:
+                row[j] = 0
+        assert smith_normal_form(mat) == smith_normal_form_oracle(mat), mat
+
+
+def test_smith_normal_form_matches_oracle_on_shift_matrices():
+    rng = random.Random(32)
+    for n in range(2, 17):
+        for _ in range(10):
+            entries = random_matrix(rng, n).entries
+            mat = [[entries[j][i] - (i == j) for j in range(n)] for i in range(n)]
+            assert smith_normal_form(mat) == smith_normal_form_oracle(mat), entries
+
+
+def test_check_snf_catches_transforms_that_are_not_unimodular():
+    # doubling the last row of P and of S keeps P * M * Q = S, the
+    # diagonal and its chain, but makes det P = +-2
+    # a nonsingular input takes the one-determinant path, a singular one
+    # computes det P and det Q
+    regular = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    singular = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert determinant(regular) != 0 and determinant(singular) == 0
+    for mat in (regular, singular):
+        s, p, q = smith_normal_form(mat)
+        _check_snf(mat, s, p, q)
+        s[-1] = [2 * a for a in s[-1]]
+        p[-1] = [2 * a for a in p[-1]]
+        with pytest.raises(AssertionError, match="not unimodular"):
+            _check_snf(mat, s, p, q)
 
 
 def test_smith_normal_form_matches_sympy():
@@ -288,14 +332,17 @@ def test_torsion_match_against_orbit_oracle():
 
 def test_two_block_presentations_are_isomorphic():
     # conjugate one-sided shifts whose matrix sizes differ in parity
-    assert two_block(GOLDEN).entries == ((1, 1, 0), (0, 0, 1), (1, 1, 0))
-    assert full_group_iso_decide(GOLDEN, two_block(GOLDEN)).verdict == "ISOMORPHIC"
+    two_block = block_presentation(GOLDEN, 2)
+    assert two_block.entries == ((1, 1, 0), (0, 0, 1), (1, 1, 0))
+    assert full_group_iso_decide(GOLDEN, two_block).verdict == "ISOMORPHIC"
+    assert block_presentation(GOLDEN, 3).n == 5
     rng = random.Random(7)
     for _ in range(300):
         a = random_matrix(rng, rng.randint(2, 5))
-        b = two_block(a)
-        assert shift_determinant(a) == shift_determinant(b)
-        assert full_group_iso_decide(a, b).verdict == "ISOMORPHIC", a.entries
+        for k in (2, 3):
+            b = block_presentation(a, k)
+            assert shift_determinant(a) == shift_determinant(b)
+            assert full_group_iso_decide(a, b).verdict == "ISOMORPHIC", (k, a.entries)
 
 
 def test_full_group_iso_decide_spec_examples():
@@ -308,7 +355,9 @@ def test_full_group_iso_decide_spec_examples():
     b = validate_matrix([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
     result = full_group_iso_decide(a, b)
     assert (result.det_a, result.det_b) == (-1, 1)
-    assert result.verdict != "ISOMORPHIC"
+    assert result.pointed.verdict == "isomorphic"
+    assert result.verdict == "NOT_ISOMORPHIC"
+    assert "det(I-A) != det(I-B)" in result.reason
 
 
 def test_gamma_equivalent_spec_examples():

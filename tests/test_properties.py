@@ -34,6 +34,7 @@ from helpers import (
     clopen_relations_oracle,
     enumerate_points,
     images_cover_oracle,
+    maps_agree_oracle,
     random_matrix,
     random_table,
 )
@@ -163,6 +164,23 @@ def test_support_equals_support_and_fixed(a, b):
         # read off the uniform view instead of the code
         moved = [w for w, image in t.entries.items() if image != w]
         assert support == canonicalize_clopen(t.matrix, moved)
+
+
+@SEEDED
+@given(st.sampled_from(POOL), SEEDS, SEEDS)
+def test_same_map_agrees_with_pointwise_oracle(matrix, seed_a, seed_b):
+    a = random_table(random.Random(seed_a), matrix, max_depth=2, max_image=3)
+    b = random_table(random.Random(seed_b), matrix, max_depth=2, max_image=3)
+    ab, ba = a.compose(b), b.compose(a)
+    pairs = [
+        (a, b),
+        (ab, ba),
+        (ab, ab.refine_to(ab.depth + 1)),  # one map, two depths
+        (ab.inverse(), b.inverse().compose(a.inverse())),
+        (ab.compose(ba), a),
+    ]
+    for x, y in pairs:
+        assert x.same_map(y) == maps_agree_oracle(x, y)
 
 
 # format then parse is the identity, and parse then format gives the text back
