@@ -33,10 +33,7 @@ from .sft import (
     EPPoint,
     TransitionMatrix,
     Word,
-    admissible_words,
-    boolean_op,
     canonicalize_clopen,
-    clopen_compare,
     connect_path,
     cylinder,
     distinct_path_pair,
@@ -45,7 +42,7 @@ from .sft import (
     point_in,
     validate_matrix,
 )
-from .tables import CocycleTable, FixedSet, TableMap, compose, validate_table
+from .tables import CocycleTable, FixedSet, TableMap, validate_table
 from .constructions import (
     clopen_transport,
     cylinder_involution,

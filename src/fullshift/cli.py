@@ -30,8 +30,6 @@ from .sft import (
     ClopenSet,
     EPPoint,
     TransitionMatrix,
-    boolean_op,
-    clopen_compare,
     format_clopen_text,
     format_point,
     format_word,
@@ -280,14 +278,15 @@ def _clopen(args, report: Report) -> None:
     if args.op == "canon":
         result = args.first
     elif args.op == "complement":
-        result = boolean_op("complement", args.first)
+        result = args.first.complement()
     elif args.second is None:
         raise FullShiftError(f"clopen {args.op} needs two operands")
     elif args.op == "compare":
-        report.add("RELATION", clopen_compare(args.first, args.second))
+        report.add("RELATION", args.first.compare(args.second))
         return
     else:
-        result = boolean_op(args.op, args.first, args.second)
+        # union, intersection or difference: a ClopenSet method of that name
+        result = getattr(args.first, args.op)(args.second)
     report.add("RESULT", _clopen_summary(result))
     _write(args.out, result, report)
 

@@ -17,6 +17,8 @@ cross-check.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -384,47 +386,23 @@ def check_paired_transport(
     alphas: Sequence[TableMap],
     betas: Sequence[TableMap],
 ) -> list[tuple[str, bool]]:
-    matrix = region.matrix
-    union_u = u_parts[0]
-    for p in u_parts[1:]:
-        union_u = union_u.union(p)
-    union_v = v_parts[0]
-    for p in v_parts[1:]:
-        union_v = union_v.union(p)
-    disjoint_u = all(
-        u_parts[i].intersection(u_parts[j]).is_empty
-        for i in range(len(u_parts))
-        for j in range(i + 1, len(u_parts))
-    )
-    disjoint_v = all(
-        v_parts[i].intersection(v_parts[j]).is_empty
-        for i in range(len(v_parts))
-        for j in range(i + 1, len(v_parts))
-    )
+    def disjoint(sets: Sequence[ClopenSet]) -> bool:
+        return all(x.intersection(y).is_empty for x, y in combinations(sets, 2))
+
     matched = all(
         gamma.image_clopen(u_parts[i]) == v_parts[i] for i in range(len(u_parts))
     )
     a_images = [alphas[i].image_clopen(u_parts[i]) for i in range(len(alphas))]
     b_images = [betas[i].image_clopen(v_parts[i]) for i in range(len(betas))]
-    a_disjoint = all(
-        a_images[i].intersection(a_images[j]).is_empty
-        for i in range(len(a_images))
-        for j in range(i + 1, len(a_images))
-    )
-    b_disjoint = all(
-        b_images[i].intersection(b_images[j]).is_empty
-        for i in range(len(b_images))
-        for j in range(i + 1, len(b_images))
-    )
     complement = region.complement()
     return [
-        ("U parts partition U", union_u == u and disjoint_u),
-        ("V parts partition V", union_v == v and disjoint_v),
+        ("U parts partition U", reduce(ClopenSet.union, u_parts) == u and disjoint(u_parts)),
+        ("V parts partition V", reduce(ClopenSet.union, v_parts) == v and disjoint(v_parts)),
         ("gamma matches the partitions", matched),
         ("alpha_i(U_i) inside W", all(img.is_subset_of(w) for img in a_images)),
         ("beta_i(V_i) inside W'", all(img.is_subset_of(w2) for img in b_images)),
-        ("alpha images pairwise disjoint", a_disjoint),
-        ("beta images pairwise disjoint", b_disjoint),
+        ("alpha images pairwise disjoint", disjoint(a_images)),
+        ("beta images pairwise disjoint", disjoint(b_images)),
         ("alpha_i are involutions", all(a.order(2) == 2 for a in alphas)),
         ("beta_i are involutions", all(b.order(2) == 2 for b in betas)),
         ("alpha_i local to O", all(a.in_local_subgroup(region) for a in alphas)),

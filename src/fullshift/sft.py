@@ -129,30 +129,51 @@ class TransitionMatrix:
         return total if total <= limit else None
 
     def words(self, k: int) -> tuple[Word, ...]:
-        """All admissible words of length k, lexicographically sorted."""
+        """All admissible words of length k, lexicographically sorted: the
+        extensions of the empty word.  Lengths up to 12 are cached per
+        matrix, since callers that draw random words ask for the same
+        lengths over and over."""
         if k < 0:
             raise BadInput("word length must be non-negative")
         cached = self._words.get(k)
         if cached is not None:
             return cached
-        level: list[Word] = [EMPTY_WORD]
-        for _ in range(k):
-            level = [w + (a,) for w in level for a in (self._succ[w[-1]] if w else self.symbols())]
-        result = tuple(level)
+        result = tuple(self.extensions(EMPTY_WORD, k))
         if k <= 12:
             self._words[k] = result
         return result
 
     def extensions(self, word: Word, target_len: int) -> Iterator[Word]:
-        """All admissible extensions of word to exactly target_len, in lex order."""
+        """All admissible extensions of word to exactly target_len, in lex order.
+
+        A depth-first walk over one mutable path, with one follower iterator
+        per open position and no recursion, so any length works.  A tuple is
+        built only for the path above the last position, which then yields
+        its children at once."""
         if target_len < len(word):
             raise BadInput("cannot extend a word to a shorter length")
-        if target_len == len(word):
+        gap = target_len - len(word)
+        if not gap:
             yield word
             return
-        start = self._succ[word[-1]] if word else self.symbols()
-        for a in start:
-            yield from self.extensions(word + (a,), target_len)
+        succ = self._succ
+        path = list(word)
+        # stack[i] iterates the candidates for the symbol at position len(word) + i
+        stack = [iter(succ[word[-1]] if word else self.symbols())]
+        while stack:
+            if len(stack) == gap:
+                prefix = tuple(path)
+                for a in stack.pop():
+                    yield prefix + (a,)
+            else:
+                a = next(stack[-1], 0)  # symbols start at 1
+                if a:
+                    path.append(a)
+                    stack.append(iter(succ[a]))
+                    continue
+                stack.pop()
+            if stack:
+                path.pop()
 
 
 def validate_matrix(raw: Sequence[Sequence[int]]) -> TransitionMatrix:
@@ -182,25 +203,32 @@ def validate_matrix(raw: Sequence[Sequence[int]]) -> TransitionMatrix:
         if not any(entries[i][j] for i in range(n)):
             raise NotEssential(f"column {j + 1} is zero")
     matrix = TransitionMatrix(entries)
-    for i in matrix.symbols():
-        seen: set[int] = set()
-        frontier = list(matrix.successors(i))
-        while frontier:
-            t = frontier.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            frontier.extend(matrix.successors(t))
-        if len(seen) != n:
-            missing = min(set(matrix.symbols()) - seen)
-            raise NotIrreducible(f"state {i} cannot reach state {missing}")
+    succ = matrix._succ
+    pred = (None,) + tuple(tuple(i + 1 for i, v in enumerate(col) if v) for col in zip(*entries))
+    # irreducible iff state 1 reaches every state and every state reaches
+    # state 1; a reducible matrix is scanned for the first state that fails
+    if len(_reached(succ, 1)) != n or len(_reached(pred, 1)) != n:
+        for i in matrix.symbols():
+            seen = _reached(succ, i)
+            if len(seen) != n:
+                missing = min(set(matrix.symbols()) - seen)
+                raise NotIrreducible(f"state {i} cannot reach state {missing}")
     if all(sum(row) == 1 for row in entries):
         raise ConditionIFails("matrix is a permutation matrix; every point is isolated")
     return matrix
 
 
-def admissible_words(matrix: TransitionMatrix, k: int) -> list[Word]:
-    return list(matrix.words(k))
+def _reached(succ: Sequence[Sequence[int]], start: int) -> set[int]:
+    """The states reached from start along nonempty paths; succ[i] lists
+    the followers of state i."""
+    seen: set[int] = set()
+    frontier = list(succ[start])
+    while frontier:
+        t = frontier.pop()
+        if t not in seen:
+            seen.add(t)
+            frontier.extend(succ[t])
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +457,6 @@ def full_space(matrix: TransitionMatrix) -> ClopenSet:
 
 def empty_set(matrix: TransitionMatrix) -> ClopenSet:
     return ClopenSet(matrix, 0, frozenset())
-
-
-def boolean_op(op: str, x: ClopenSet, y: ClopenSet | None = None) -> ClopenSet:
-    """Dispatch for the four Boolean operations, by name."""
-    if op == "complement":
-        return x.complement()
-    if y is None:
-        raise BadInput(f"operation {op!r} needs two operands")
-    if op == "union":
-        return x.union(y)
-    if op == "intersection":
-        return x.intersection(y)
-    if op == "difference":
-        return x.difference(y)
-    raise BadInput(f"unknown Boolean operation {op!r}")
-
-
-def clopen_compare(x: ClopenSet, y: ClopenSet) -> str:
-    return x.compare(y)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ the space.
 
 Each table also has a depth, at least its longest domain word.  Refining
 every domain word to all of its admissible extensions of that length gives
-the uniform view, ``TableMap.entries``: the form of the ``L depth`` text
-files and of cocycle tables.  The view is built only when read.
+the uniform view: the form of the ``L depth`` text files and of cocycle
+tables.  The code is the only form a table stores; the view is computed
+from it, in sorted order, each time it is read, and never kept.
 
 Group structure is exact.  Composition and inversion work on the codes,
 and reduction merges complete sibling families bottom-up into the unique
@@ -27,7 +28,7 @@ the same homeomorphism exactly when their reduced codes are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     BadDomain,
@@ -60,18 +61,19 @@ class TableMap:
     construction, composition or reduction have ``depth`` equal to their
     longest domain word; an inverse keeps the depth of its uniform view.
 
-    Immutable after construction.  Two tables are equal when they have the
-    same matrix, the same depth and the same uniform entries; use
-    :meth:`same_map` to compare the homeomorphisms alone.
+    The code is the only stored form: the uniform view at ``depth`` is
+    computed from it on each read.  Immutable after construction.  Two
+    tables are equal when they have the same matrix, the same depth and the
+    same uniform entries; use :meth:`same_map` to compare the homeomorphisms
+    alone.
     """
 
-    __slots__ = ("matrix", "depth", "code", "_entries", "_reduced")
+    __slots__ = ("matrix", "depth", "code", "_reduced")
 
     def __init__(self, matrix: TransitionMatrix, depth: int, code: dict[Word, Word]):
         self.matrix = matrix
         self.depth = depth
         self.code = code
-        self._entries: dict[Word, Word] | None = None
         self._reduced: TableMap | None = None
 
     @classmethod
@@ -81,20 +83,24 @@ class TableMap:
     @property
     def entries(self) -> dict[Word, Word]:
         """The uniform view: the image of every admissible word of length
-        ``depth``.  Built on first use and cached; the group operations
-        never read it."""
-        if self._entries is None:
-            depth = self.depth
-            if all(len(nu) == depth for nu in self.code):
-                self._entries = self.code
+        ``depth``, as a new dict built from the code on each read and never
+        stored.  The library itself reads the view only through
+        :meth:`_uniform_view`."""
+        return dict(self._uniform_view())
+
+    def _uniform_view(self) -> Iterator[tuple[Word, Word]]:
+        """The uniform view in sorted order: each extension w of a code word
+        nu to ``depth``, with its image rho + w[len(nu):].  The code is
+        prefix-free, so its words in sorted order have their extensions in
+        sorted order too."""
+        extensions, depth = self.matrix.extensions, self.depth
+        for nu, rho in sorted(self.code.items()):
+            k = len(nu)
+            if k == depth:
+                yield nu, rho
             else:
-                extensions = self.matrix.extensions
-                view: dict[Word, Word] = {}
-                for nu, rho in self.code.items():
-                    for w in extensions(nu, depth):
-                        view[w] = rho + w[len(nu):]
-                self._entries = view
-        return self._entries
+                for w in extensions(nu, depth):
+                    yield w, rho + w[k:]
 
     def entry_count(self) -> int:
         """``len(self.entries)``, counted without building the view."""
@@ -319,9 +325,8 @@ class TableMap:
         return canonicalize_clopen(self.matrix, moved, trusted=True)
 
     def cocycles(self) -> "CocycleTable":
-        return CocycleTable(
-            self.depth, {nu: (len(rho), self.depth) for nu, rho in self.entries.items()}
-        )
+        depth = self.depth
+        return CocycleTable(depth, {w: (len(image), depth) for w, image in self._uniform_view()})
 
     def in_local_subgroup(self, region: ClopenSet) -> bool:
         """Whether this element fixes the complement of the region pointwise.
@@ -463,15 +468,11 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
         raise ImagesDontCover(f"images miss cylinder {format_word(gap)}")
 
 
-def compose(outer: TableMap, inner: TableMap) -> TableMap:
-    return outer.compose(inner)
-
-
 def format_table_text(table: TableMap) -> str:
-    """The uniform view as text: ``L depth`` then one line per entry."""
+    """The uniform view as text: ``L depth`` then one line per entry, in
+    sorted order, streamed from the code."""
     lines = [f"L {table.depth}"]
-    for nu, rho in sorted(table.entries.items()):
-        lines.append(f"{format_word(nu)} -> {format_word(rho)}")
+    lines.extend(f"{format_word(w)} -> {format_word(image)}" for w, image in table._uniform_view())
     return "\n".join(lines) + "\n"
 
 

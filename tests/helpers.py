@@ -19,7 +19,7 @@ from fullshift import (
 )
 from fullshift.constructions import cylinder_swap
 from fullshift.invariants import determinant
-from fullshift.sft import first_return
+from fullshift.sft import first_return, format_word
 
 FULL2 = validate_matrix([[1, 1], [1, 1]])
 GOLDEN = validate_matrix([[1, 1], [1, 0]])
@@ -304,9 +304,9 @@ def ep_shift_oracle(point: EPPoint, k: int) -> EPPoint:
 
 
 def ep_apply_oracle(table: TableMap, point: EPPoint) -> EPPoint:
-    """A table's image of a point, read off its uniform view."""
+    """A table's image of a point, read off its oracle uniform view."""
     tail = ep_shift_oracle(point, table.depth)
-    image = table.entries[ep_prefix_oracle(point, table.depth)]
+    image = uniform_view_oracle(table)[ep_prefix_oracle(point, table.depth)]
     return ep_oracle(image + tail.pre, tail.per)
 
 
@@ -324,7 +324,41 @@ def maps_agree_oracle(t1: TableMap, t2: TableMap) -> bool:
 
 # ---------------------------------------------------------------------------
 # uniform-table oracles: group arithmetic written out over every word of one
-# depth, as (depth, entries) pairs, independent of the prefix-code form
+# depth, as (depth, entries) pairs, independent of the prefix-code form and
+# of the library's word enumerator
+
+
+def words_oracle(matrix: TransitionMatrix, word, length: int) -> list:
+    """Every admissible extension of word to the given length, in
+    lexicographic order, grown one level at a time from ``matrix.arc``."""
+    level = [tuple(word)]
+    for _ in range(length - len(word)):
+        level = [
+            w + (b,)
+            for w in level
+            for b in range(1, matrix.n + 1)
+            if not w or matrix.arc(w[-1], b)
+        ]
+    return level
+
+
+def uniform_view_oracle(table: TableMap) -> dict:
+    """The uniform view of a table: each oracle word of length depth mapped
+    through the code word that is its prefix, in sorted order."""
+    code, view = table.code, {}
+    for w in words_oracle(table.matrix, (), table.depth):
+        k = next(k for k in range(len(w) + 1) if w[:k] in code)
+        view[w] = code[w[:k]] + w[k:]
+    return view
+
+
+def table_text_oracle(table: TableMap) -> str:
+    """The ``L depth`` text of the oracle view, one line per sorted entry
+    (the former library writer)."""
+    lines = [f"L {table.depth}"]
+    for nu, rho in sorted(uniform_view_oracle(table).items()):
+        lines.append(f"{format_word(nu)} -> {format_word(rho)}")
+    return "\n".join(lines) + "\n"
 
 
 def uniform_reduce_oracle(matrix: TransitionMatrix, depth: int, entries: dict):
@@ -360,7 +394,7 @@ def uniform_reduce_oracle(matrix: TransitionMatrix, depth: int, entries: dict):
 def _uniform_refine(matrix: TransitionMatrix, pairs, depth: int) -> dict:
     out = {}
     for nu, rho in pairs:
-        for w in matrix.extensions(nu, depth):
+        for w in words_oracle(matrix, nu, depth):
             out[w] = rho + w[len(nu):]
     return out
 
@@ -368,9 +402,9 @@ def _uniform_refine(matrix: TransitionMatrix, pairs, depth: int) -> dict:
 def uniform_compose_oracle(outer: TableMap, inner: TableMap):
     """outer after inner from the two uniform views, reduced."""
     matrix = outer.matrix
-    outer_depth, outer_entries = outer.depth, outer.entries
+    outer_depth, outer_entries = outer.depth, uniform_view_oracle(outer)
     flat = []
-    for nu, rho in sorted(inner.entries.items()):
+    for nu, rho in sorted(uniform_view_oracle(inner).items()):
         stack = [(nu, rho)]
         while stack:
             n, r = stack.pop()
@@ -387,7 +421,7 @@ def uniform_compose_oracle(outer: TableMap, inner: TableMap):
 
 def uniform_inverse_oracle(table: TableMap):
     """The reversed uniform view, refined to the longest image."""
-    rev = [(rho, nu) for nu, rho in table.entries.items()]
+    rev = [(rho, nu) for nu, rho in uniform_view_oracle(table).items()]
     depth = max(len(r) for r, _ in rev)
     return depth, _uniform_refine(table.matrix, rev, depth)
 
@@ -396,15 +430,15 @@ def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
     """Least k <= bound with the k-th power trivial, by repeated uniform
     composition, with the same cap on power sizes as TableMap.order."""
     matrix = table.matrix
-    g = TableMap(matrix, *uniform_reduce_oracle(matrix, table.depth, dict(table.entries)))
-    if all(v == w for w, v in g.entries.items()):
+    g = TableMap(matrix, *uniform_reduce_oracle(matrix, table.depth, uniform_view_oracle(table)))
+    if all(v == w for w, v in g.code.items()):
         return 1
     acc = g
     for k in range(2, bound + 1):
         acc = TableMap(matrix, *uniform_compose_oracle(g, acc))
-        if all(v == w for w, v in acc.entries.items()):
+        if all(v == w for w, v in acc.code.items()):
             return k
-        if len(acc.entries) > entry_cap:
+        if len(acc.code) > entry_cap:
             return None
     return None
 

@@ -1,0 +1,40 @@
+"""The benchmark's traced run (bench/spans.py) wraps library functions by
+name.  A traced call in each layer must still reach its counter, so a
+rename that the tracer would miss fails here rather than in ``--trace 1``."""
+
+import sys
+from pathlib import Path
+
+import fullshift.constructions as cons
+import fullshift.invariants as inv
+from fullshift.sft import cylinder
+
+from helpers import FULL2, GOLDEN, cylinder_swap
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+def test_tracer_counts_words_extensions_and_search():
+    sys.path.insert(0, BENCH)
+    try:
+        import spans
+    finally:
+        sys.path.remove(BENCH)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    tracer.active = True
+    try:
+        swap = cylinder_swap(FULL2, (1,), (2,))
+        assert swap.compose(swap).is_identity
+        assert swap.order(4) == 2
+        assert len(GOLDEN.words(4)) == 8
+        assert len(list(GOLDEN.extensions((1,), 4))) == 5
+        assert cons.witness_search(FULL2, lambda t: not t.is_identity, 1, 1) is not None
+        inv.gamma_equivalent(cylinder(FULL2, (1,)), cylinder(FULL2, (2,)))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    counters = tracer.counters
+    assert counters["sft.words.calls"] > 0
+    assert counters["sft.extensions.words"] > 0
+    assert counters["constructions.search.tables_visited"] > 0

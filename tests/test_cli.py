@@ -399,6 +399,22 @@ def test_construct_transports_on_a_long_cycle(files, tmp_path, capsys):
         assert "CHECK" in report and "FAIL" not in report and "ERROR" not in report
 
 
+def test_clopen_union_past_the_recursion_limit(tmp_path, capsys):
+    # padding 1,2 to depth 1101 once ended in a RecursionError traceback
+    matrix = tmp_path / "cycle1100.mat"
+    matrix.write_text(format_matrix_text(long_cycle(1100)))
+    short = tmp_path / "a.clo"
+    short.write_text("D 2\n1,2\n")
+    deep = tmp_path / "b.clo"
+    deep.write_text("D 1101\n" + ",".join(map(str, [*range(2, 1101), 1, 1])) + "\n")
+    start = time.perf_counter()
+    code = run(["clopen", str(matrix), "union", str(short), str(deep)])
+    assert time.perf_counter() - start < 2.0
+    out = capsys.readouterr().out
+    assert code == 0, out[-300:]
+    assert "RESULT: depth 1101:" in out
+
+
 def test_long_image_is_diagnosed(files, tmp_path, capsys):
     path = tmp_path / "long.tbl"
     path.write_text("L 1\n1 -> " + ",".join(["1"] * 1200) + "\n2 -> 2\n")

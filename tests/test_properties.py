@@ -25,7 +25,7 @@ from fullshift.sft import (
     parse_matrix_text,
     parse_point,
 )
-from fullshift.tables import format_table_text, parse_table_text, validate_images
+from fullshift.tables import TableMap, format_table_text, parse_table_text, validate_images
 
 from helpers import (
     FULL2,
@@ -37,6 +37,9 @@ from helpers import (
     maps_agree_oracle,
     random_matrix,
     random_table,
+    table_text_oracle,
+    uniform_view_oracle,
+    words_oracle,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -181,6 +184,37 @@ def test_same_map_agrees_with_pointwise_oracle(matrix, seed_a, seed_b):
     ]
     for x, y in pairs:
         assert x.same_map(y) == maps_agree_oracle(x, y)
+
+
+def test_extensions_and_words_agree_with_level_oracle():
+    # the one enumerator against words grown a level at a time from
+    # matrix.arc alone, order included
+    rng = random.Random(61)
+    matrices = POOL + [random_matrix(rng, rng.randint(2, 5)) for _ in range(20)]
+    for matrix in matrices:
+        for k in range(7):
+            assert list(matrix.words(k)) == words_oracle(matrix, (), k)
+        for start in (w for k in range(4) for w in words_oracle(matrix, (), k)):
+            for target in range(len(start), 7):
+                assert list(matrix.extensions(start, target)) == words_oracle(
+                    matrix, start, target
+                )
+
+
+def test_uniform_view_readers_agree_with_oracle_view():
+    # entries, the L text and the cocycles all read the view computed from
+    # the code; the oracle maps every oracle word through its code prefix
+    rng = random.Random(67)
+    for matrix in POOL:
+        prev = TableMap.identity(matrix)
+        for _ in range(30):
+            t = random_table(rng, matrix)
+            for x in (t, t.inverse(), t.refine_to(t.depth + 2), t.compose(prev), prev.compose(t)):
+                view = uniform_view_oracle(x)
+                assert x.entries == view
+                assert format_table_text(x) == table_text_oracle(x)
+                assert x.cocycles().values == {w: (len(v), x.depth) for w, v in view.items()}
+            prev = t
 
 
 # format then parse is the identity, and parse then format gives the text back

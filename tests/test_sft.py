@@ -1,6 +1,7 @@
 """Shift-space core: matrix validation, words, clopen algebra, paths."""
 
 import random
+import time
 
 import pytest
 
@@ -10,10 +11,7 @@ from fullshift import (
     InadmissibleWord,
     NotEssential,
     NotIrreducible,
-    admissible_words,
-    boolean_op,
     canonicalize_clopen,
-    clopen_compare,
     connect_path,
     cylinder,
     distinct_path_pair,
@@ -45,6 +43,7 @@ from helpers import (
     ep_prefix_oracle,
     ep_shift_oracle,
     first_return_oracle,
+    long_cycle,
     random_clopen,
     random_matrix,
     random_table,
@@ -90,13 +89,13 @@ def test_validate_matrix_rejects_reducible():
 
 
 def test_admissible_words_full_shift():
-    assert admissible_words(FULL2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert admissible_words(FULL2, 0) == [()]
+    assert list(FULL2.words(2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert list(FULL2.words(0)) == [()]
 
 
 def test_admissible_words_golden_mean():
-    assert admissible_words(GOLDEN, 2) == [(1, 1), (1, 2), (2, 1)]
-    assert len(admissible_words(GOLDEN, 3)) == 5
+    assert list(GOLDEN.words(2)) == [(1, 1), (1, 2), (2, 1)]
+    assert len(list(GOLDEN.words(3))) == 5
 
 
 def fib(n):
@@ -109,7 +108,7 @@ def fib(n):
 def test_golden_mean_word_counts_are_fibonacci():
     # transfer-matrix oracle: |B_k| = fib(k+2) for the golden-mean shift
     for k in range(9):
-        assert len(admissible_words(GOLDEN, k)) == fib(k + 1)
+        assert len(list(GOLDEN.words(k))) == fib(k + 1)
 
 
 def test_words_are_admissible_everywhere():
@@ -117,7 +116,7 @@ def test_words_are_admissible_everywhere():
     for _ in range(20):
         matrix = random_matrix(rng, rng.choice([2, 3, 4]))
         k = rng.randint(0, 4)
-        words = admissible_words(matrix, k)
+        words = list(matrix.words(k))
         assert words == sorted(words)
         assert all(matrix.is_admissible(w) for w in words)
         assert len(words) == matrix.word_count(k)
@@ -151,9 +150,9 @@ def test_canonicalize_idempotent_and_denotation_preserving():
 
 def test_boolean_ops_spec_cases():
     u1 = cylinder(FULL2, (1,))
-    assert boolean_op("complement", u1) == cylinder(FULL2, (2,))
-    assert boolean_op("intersection", u1, cylinder(FULL2, (2,))).is_empty
-    diff = boolean_op("difference", full_space(GOLDEN), cylinder(GOLDEN, (1, 1)))
+    assert u1.complement() == cylinder(FULL2, (2,))
+    assert u1.intersection(cylinder(FULL2, (2,))).is_empty
+    diff = full_space(GOLDEN).difference(cylinder(GOLDEN, (1, 1)))
     assert diff.depth == 2 and diff.words == frozenset({(1, 2), (2, 1)})
 
 
@@ -173,12 +172,12 @@ def test_boolean_algebra_laws_randomized():
 
 
 def test_clopen_compare_cases():
-    assert clopen_compare(cylinder(FULL2, (1, 1)), cylinder(FULL2, (1,))) == "subset"
-    assert clopen_compare(cylinder(FULL2, (1,)), cylinder(FULL2, (2,))) == "disjoint"
+    assert cylinder(FULL2, (1, 1)).compare(cylinder(FULL2, (1,))) == "subset"
+    assert cylinder(FULL2, (1,)).compare(cylinder(FULL2, (2,))) == "disjoint"
     mixed = cylinder(FULL2, (1, 2)).union(cylinder(FULL2, (2, 1)))
-    assert clopen_compare(mixed, cylinder(FULL2, (1,))) == "overlapping"
-    assert clopen_compare(cylinder(FULL2, (1,)), cylinder(FULL2, (1,))) == "equal"
-    assert clopen_compare(cylinder(FULL2, (1,)), cylinder(FULL2, (1, 1))) == "superset"
+    assert mixed.compare(cylinder(FULL2, (1,))) == "overlapping"
+    assert cylinder(FULL2, (1,)).compare(cylinder(FULL2, (1,))) == "equal"
+    assert cylinder(FULL2, (1,)).compare(cylinder(FULL2, (1, 1))) == "superset"
 
 
 def test_connect_path_spec_cases():
@@ -265,6 +264,18 @@ def test_continuation_count_has_no_recursion_limit():
                 assert matrix.continuation_count(sym, k) == len(
                     list(matrix.extensions((sym,), k + 1))
                 )
+
+
+def test_words_past_the_recursion_limit():
+    # one generator frame per padded symbol once overflowed the stack here
+    matrix = long_cycle(1100)
+    deep = tuple(range(2, 1101)) + (1, 1)
+    start = time.perf_counter()
+    assert list(matrix.extensions((1, 2), 1101)) == [(1,) + tuple(range(2, 1101)) + (1,)]
+    union = canonicalize_clopen(matrix, [(1, 2), deep])
+    assert time.perf_counter() - start < 2.0
+    assert union.depth == 1101
+    assert union.words == {(1,) + tuple(range(2, 1101)) + (1,), deep}
 
 
 def test_distinct_path_pair_spec_cases():
