@@ -443,7 +443,7 @@ def _bf(args, report: Report) -> None:
     report.add("FREE-RANK", group.free_rank)
     report.add("UNIT-CLASS", " ".join(map(str, unit.coords)))
     report.add("UNIT-ORDER", unit.order() if unit.order() is not None else "infinite")
-    report.add("DET", inv.shift_determinant(args.matrix))
+    report.add("DET", group.shift_determinant)
 
 
 @_command(

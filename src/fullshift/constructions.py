@@ -622,16 +622,21 @@ def search_tables(
     candidate per depth-d word whose image cylinders partition the space;
     each candidate is a bitset over the words of length image_bound (the
     leaves) it covers, so the choices must be pairwise disjoint and cover
-    all n_leaves leaves.  Two exact rules cut the backtracking:
+    all n_leaves leaves.  Three exact rules cut the backtracking:
 
     * reach[i] is the bitset of leaf counts that domain words i..n-1 could
       still cover together, one candidate each, ignoring overlaps.  A
       choice at position i is kept only when reach[i+1] holds the number
       of leaves it leaves free.
-    * The last domain word scans no candidates: the leaves still free must
-      be exactly one candidate's cylinder, looked up by its bitset.
+    * Closing lookup: the last domain word scans no candidates, because
+      the leaves still free must be exactly one candidate's cylinder,
+      looked up by its bitset.
+    * Closing pair: neither does the second-to-last.  Its free leaves fix
+      the list of (candidate, closing candidate) pairs that finish the
+      table, in candidate order; the list is built the first time those
+      free leaves are seen at a depth and looked up after that.
 
-    Both rules drop only branches holding no complete table, so the
+    The rules drop only branches holding no complete table, so the
     sequence of tables is the one plain backtracking would give.
     """
     yield TableMap.identity(matrix)
@@ -680,18 +685,34 @@ def search_tables(
         # row-equal words needs a cycle of forced symbols, which condition
         # (I) rules out; so a leaf set names at most one closing candidate
         closing = {m: w for w, m, _ in per_word[n - 1]}
+        # the closing pairs for the last two domain words, by the leaves they
+        # must cover together, filled the first time a leaf set is seen
+        pairs: dict[int, list[tuple[Word, Word]]] = {}
+        penult, last = domain[n - 2], domain[n - 1]
         # iterative backtracking: position i tries per_word[i] from nxt[i],
-        # with used[i] the leaves covered by the choices before it
-        assignment: list[Word] = [EMPTY_WORD] * n
-        used = [0] * n
-        nxt = [0] * n
+        # with used[i] the leaves covered by the choices before it; a valid
+        # matrix has at least two words of each depth, so n >= 2
+        assignment: list[Word] = [EMPTY_WORD] * (n - 2)
+        used = [0] * (n - 1)
+        nxt = [0] * (n - 1)
         i = 0
         while i >= 0:
-            if i == n - 1:
-                w = closing.get(full ^ used[i])
-                if w is not None:
-                    assignment[i] = w
-                    yield TableMap(matrix, depth, dict(zip(domain, assignment)))
+            if i == n - 2:
+                free = full ^ used[i]
+                found = pairs.get(free)
+                if found is None:
+                    found = pairs[free] = [
+                        (w, closing[free ^ m])
+                        for w, m, _ in per_word[i]
+                        if not m & ~free and free ^ m in closing
+                    ]
+                if found:
+                    head = dict(zip(domain, assignment))
+                    for w, c in found:
+                        code = head.copy()
+                        code[penult] = w
+                        code[last] = c
+                        yield TableMap(matrix, depth, code)
                 i -= 1
                 continue
             cands, taken, fits = per_word[i], used[i], reach[i + 1]

@@ -52,6 +52,13 @@ def smith_normal_form(
 
     Every call re-checks the result exactly, see :func:`_check_snf`.
     """
+    s, p, q, _ = _smith_normal_form(mat)
+    return s, p, q
+
+
+def _smith_normal_form(mat: list[list[int]]):
+    """:func:`smith_normal_form` and det(mat), which its check computes
+    (None for a non-square input)."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     s = [list(r) for r in mat]
@@ -116,19 +123,20 @@ def smith_normal_form(
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
             p[t] = [-a for a in p[t]]
-    _check_snf(mat, s, p, q)
-    return s, p, q
+    return s, p, q, _check_snf(mat, s, p, q)
 
 
 def _check_snf(mat, s, p, q):
     """Raise AssertionError unless P * mat * Q = S, S is diagonal with a
-    divisibility chain and its zeros last, and P and Q are unimodular.
+    divisibility chain and its zeros last, and P and Q are unimodular;
+    return det(mat) for a square input, else None.
 
     P * mat * Q = S gives det P * det mat * det Q = d_1 ... d_r for a
     square input.  So when that product is nonzero, |d_1 ... d_r| =
     |det mat| forces |det P| = |det Q| = 1, and one determinant of the
     input certifies both transforms.  Singular and non-square inputs have
-    det P and det Q computed."""
+    det P and det Q computed; a square one then has det mat = 0, because
+    S has a zero on its diagonal and P and Q are invertible."""
     rows, cols = len(mat), len(mat[0]) if mat else 0
     if _mat_mul(_mat_mul(p, mat), q) != s:
         raise AssertionError("smith normal form transform identity failed")
@@ -142,11 +150,14 @@ def _check_snf(mat, s, p, q):
             raise AssertionError("smith normal form zero ordering failed")
     product = prod(diag)
     if rows == cols and product:
-        unimodular = abs(product) == abs(determinant(mat))
+        det = determinant(mat)
+        unimodular = abs(product) == abs(det)
     else:
+        det = 0 if rows == cols else None
         unimodular = abs(determinant(p)) == 1 and abs(determinant(q)) == 1
     if not unimodular:
         raise AssertionError("smith normal form transforms are not unimodular")
+    return det
 
 
 def _mat_mul(a, b):
@@ -192,12 +203,20 @@ class BFGroup:
     >= 2 are the invariant factors, zeros contribute free rank.  `p_rows`
     and `q_cols` are the unimodular transforms with P (A^t - I) Q diagonal;
     P carries an integer vector to its coordinates in the new basis.
+    `det` is det(A^t - I), read off the Smith form's check, so
+    det(I - A) = (-1)^n det; None for a group not built from a matrix.
     """
 
     n: int
     diag: tuple[int, ...]
     p_rows: tuple[tuple[int, ...], ...]
     q_cols: tuple[tuple[int, ...], ...] = ()
+    det: int | None = None
+
+    @property
+    def shift_determinant(self) -> int:
+        """det(I - A) of the matrix the group was built from."""
+        return -self.det if self.n % 2 else self.det
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -272,10 +291,10 @@ def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
     """The cokernel of A^t - I_N with the class of the all-ones vector."""
     n = matrix.n
     m = [[v - (i == j) for j, v in enumerate(col)] for i, col in enumerate(zip(*matrix.entries))]
-    s, p, q = smith_normal_form(m)
+    s, p, q, det = _smith_normal_form(m)
     diag = tuple(s[i][i] for i in range(n))
     group = BFGroup(
-        n, diag, tuple(tuple(r) for r in p), tuple(tuple(r) for r in q)
+        n, diag, tuple(tuple(r) for r in p), tuple(tuple(r) for r in q), det
     )
     unit = group.element([1] * n)
     return group, unit
@@ -483,8 +502,8 @@ def full_group_iso_decide(matrix_a: TransitionMatrix, matrix_b: TransitionMatrix
     """
     group_a, unit_a = bowen_franks(matrix_a)
     group_b, unit_b = bowen_franks(matrix_b)
-    det_a = shift_determinant(matrix_a)
-    det_b = shift_determinant(matrix_b)
+    det_a = group_a.shift_determinant
+    det_b = group_b.shift_determinant
     pointed = pointed_iso_decide(group_a, unit_a, group_b, unit_b)
     if pointed.verdict == "not_isomorphic":
         verdict, reason = "NOT_ISOMORPHIC", pointed.reason

@@ -114,19 +114,24 @@ class TransitionMatrix:
             raise BadInput("word length must be non-negative")
         if k == 0:
             return 1 if limit >= 1 else None
-        succ = self._succ
         row = [0] + [1] * self.n
         total = self.n
         for _ in range(k - 1):
             if total > limit:
                 return None
-            nxt = [0] * (self.n + 1)
-            for a in self.symbols():
-                for b in succ[a]:
-                    nxt[b] += row[a]
-            row = nxt
+            row = self._longer(row)
             total = sum(row)
         return total if total <= limit else None
+
+    def _longer(self, row: list[int]) -> list[int]:
+        """Counts of words by last symbol (``row[sym]``, row[0] unused),
+        carried to the words one symbol longer."""
+        succ = self._succ
+        nxt = [0] * (self.n + 1)
+        for a in self.symbols():
+            for b in succ[a]:
+                nxt[b] += row[a]
+        return nxt
 
     def words(self, k: int) -> tuple[Word, ...]:
         """All admissible words of length k, lexicographically sorted: the
@@ -314,13 +319,23 @@ class ClopenSet:
         return canonicalize_clopen(matrix, rest)
 
     def count_at(self, depth: int) -> int:
-        """``len(self.refine(depth))``, counted without listing the words."""
+        """``len(self.refine(depth))``, counted without listing the words:
+        one rolling row of counts by last symbol, with no table kept, so a
+        deep count costs memory linear in the depth."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
+        matrix = self.matrix
+        if not self.words or depth == 0:
+            return len(self.words)
         if self.depth == 0:
-            return self.matrix.word_count(depth) if self.words else 0
-        cont, gap = self.matrix.continuation_count, depth - self.depth
-        return sum(cont(w[-1], gap) for w in self.words)
+            row, start = [0] + [1] * matrix.n, 1
+        else:
+            row, start = [0] * (matrix.n + 1), self.depth
+            for w in self.words:
+                row[w[-1]] += 1
+        for _ in range(depth - start):
+            row = matrix._longer(row)
+        return sum(row)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         _, shallow, _, outside = self._split(other)
@@ -424,8 +439,9 @@ def canonicalize_clopen(
             words.add(t)
     if not words:
         return ClopenSet(matrix, 0, frozenset())
-    depth = max(map(len, words))
-    if min(map(len, words)) != depth:
+    lengths = set(map(len, words))
+    depth = max(lengths)
+    if len(lengths) > 1:
         padded = set()
         for w in words:
             padded.update(matrix.extensions(w, depth))
@@ -434,16 +450,14 @@ def canonicalize_clopen(
     # admissible words as its parent has followers; so every family is
     # complete exactly when the followers of the parents add up to the words
     succ = matrix._succ
-    while depth > 0:
+    while depth > 1:
         parents = {w[:-1] for w in words}
-        if depth == 1:
-            followers = matrix.n
-        else:
-            followers = sum(len(succ[p[-1]]) for p in parents)
-        if followers != len(words):
+        if sum([len(succ[p[-1]]) for p in parents]) != len(words):
             break
         words = parents
         depth -= 1
+    if depth == 1 and len(words) == matrix.n:
+        return ClopenSet(matrix, 0, frozenset((EMPTY_WORD,)))
     return ClopenSet(matrix, depth, frozenset(words))
 
 

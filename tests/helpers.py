@@ -58,6 +58,30 @@ def block_presentation(matrix: TransitionMatrix, k: int) -> TransitionMatrix:
     return validate_matrix([[int(u[1:] == v[:-1]) for v in blocks] for u in blocks])
 
 
+def out_split(matrix: TransitionMatrix, state: int, part) -> TransitionMatrix:
+    """The out-splitting of `state`: it keeps its followers in `part` (a
+    nonempty proper subset of them), a new state N+1 takes the rest, and
+    both copies keep every predecessor of `state`.  A point of the split
+    shift is read back by merging the copies, and the copy of each symbol
+    is fixed by the next one, so the two one-sided shifts are conjugate;
+    the sizes of the matrices differ by one."""
+    n, rows = matrix.n, matrix.entries
+    origin = list(range(1, n + 1)) + [state]
+
+    def allowed(x: int, y: int) -> bool:
+        if x == state:
+            return y in part
+        if x == n + 1:
+            return y not in part
+        return True
+
+    return validate_matrix([
+        [int(rows[origin[x - 1] - 1][origin[y - 1] - 1] and allowed(x, origin[y - 1]))
+         for y in range(1, n + 2)]
+        for x in range(1, n + 2)
+    ])
+
+
 def long_cycle(n: int) -> TransitionMatrix:
     """The n-cycle 1 -> 2 -> ... -> n -> 1 with one branch, the loop 1 -> 1:
     below cylinder 3 no word branches before depth n."""

@@ -3,6 +3,7 @@ name.  A traced call in each layer must still reach its counter, so a
 rename that the tracer would miss fails here rather than in ``--trace 1``."""
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import fullshift.constructions as cons
@@ -14,7 +15,9 @@ from helpers import FULL2, GOLDEN, cylinder_swap
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
-def test_tracer_counts_words_extensions_and_search():
+@contextmanager
+def traced():
+    """Run the block under the installed tracer; yields its counters."""
     sys.path.insert(0, BENCH)
     try:
         import spans
@@ -24,6 +27,14 @@ def test_tracer_counts_words_extensions_and_search():
     spans.install(tracer)
     tracer.active = True
     try:
+        yield tracer.counters
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+
+
+def test_tracer_counts_words_extensions_and_search():
+    with traced() as counters:
         swap = cylinder_swap(FULL2, (1,), (2,))
         assert swap.compose(swap).is_identity
         assert swap.order(4) == 2
@@ -31,10 +42,14 @@ def test_tracer_counts_words_extensions_and_search():
         assert len(list(GOLDEN.extensions((1,), 4))) == 5
         assert cons.witness_search(FULL2, lambda t: not t.is_identity, 1, 1) is not None
         inv.gamma_equivalent(cylinder(FULL2, (1,)), cylinder(FULL2, (2,)))
-    finally:
-        tracer.active = False
-        tracer.uninstall()
-    counters = tracer.counters
     assert counters["sft.words.calls"] > 0
     assert counters["sft.extensions.words"] > 0
     assert counters["constructions.search.tables_visited"] > 0
+
+
+def test_tracer_sees_every_table_of_an_exhaust():
+    # the search hands every table to _run_search's visitor, which the
+    # tracer wraps by name: a FULL2 3/3 exhaust visits all 40,443 tables
+    with traced() as counters:
+        assert cons.witness_search(FULL2, lambda t: False, 3, 3) is None
+    assert counters["constructions.search.tables_visited"] == 40443

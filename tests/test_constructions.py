@@ -39,16 +39,19 @@ from fullshift.constructions import (
     swap_involution,
     witness_search,
 )
+from fullshift.invariants import maps_onto_candidates
 from fullshift.sft import point_in
 from fullshift.tables import validate_table
 
 from helpers import (
     DENSE3,
+    DENSE4,
     FULL2,
     FULL3,
     GOLDEN,
     GOLDEN_REV,
     POOL,
+    RING3,
     SMALL_POOL,
     long_cycle,
     moved_cylinder_oracle,
@@ -289,12 +292,31 @@ def test_search_tables_order_matches_oracle():
     # in the same order; DENSE3 is a 3-state matrix that is not full
     cases = [
         (FULL2, 2, 3), (FULL2, 2, 5), (FULL2, 3, 3), (GOLDEN, 3, 4),
-        (GOLDEN_REV, 3, 4), (FULL3, 1, 3), (DENSE3, 2, 4),
+        (GOLDEN_REV, 3, 4), (FULL3, 1, 3), (DENSE3, 2, 4), (RING3, 4, 5),
+        (DENSE4, 2, 4),
     ]
+    counts = {}
     for matrix, depth, image in cases:
         got = [(t.depth, t.code) for t in search_tables(matrix, depth, image)]
         want = [(t.depth, t.code) for t in search_order_oracle(matrix, depth, image)]
         assert got == want, (matrix, depth, image)
+        counts[matrix, depth, image] = len(got)
+    assert counts[FULL2, 3, 3] == 40443
+    assert counts[DENSE3, 2, 4] == 58
+    # with the candidate filter of a maps-onto search, which may leave the
+    # second-to-last domain word of a depth no candidate at all
+    rng = random.Random(7)
+    emptied = False
+    for matrix, depth, image in [(FULL2, 3, 3), (GOLDEN, 3, 4)]:
+        for _ in range(3):
+            u = random_clopen(rng, matrix, proper=True)
+            v = random_clopen(rng, matrix, proper=True)
+            narrow = maps_onto_candidates(u, v, image)
+            got = [(t.depth, t.code) for t in search_tables(matrix, depth, image, narrow)]
+            want = [(t.depth, t.code) for t in search_order_oracle(matrix, depth, image, narrow)]
+            assert got == want, (matrix, u, v)
+            emptied |= any(not narrow(matrix.words(d)[-2]) for d in range(1, depth + 1))
+    assert emptied
 
 
 def test_split_invariant_randomized():

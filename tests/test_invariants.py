@@ -37,6 +37,7 @@ from helpers import (
     group_element_orders,
     hom_count,
     invariant_factor_lists,
+    out_split,
     pointed_match_oracle,
     primary_orbit_oracle,
     random_clopen,
@@ -343,6 +344,54 @@ def test_two_block_presentations_are_isomorphic():
             b = block_presentation(a, k)
             assert shift_determinant(a) == shift_determinant(b)
             assert full_group_iso_decide(a, b).verdict == "ISOMORPHIC", (k, a.entries)
+
+
+def test_out_splittings_are_isomorphic():
+    # an out-splitting is one symbol larger, so det(I - A) must survive a
+    # flip of size parity
+    rng = random.Random(41)
+    nonzero = 0
+    for _ in range(300):
+        a = random_matrix(rng, rng.randint(2, 6))
+        state = rng.choice([s for s in a.symbols() if len(a.successors(s)) >= 2])
+        followers = a.successors(state)
+        part = set(rng.sample(followers, rng.randint(1, len(followers) - 1)))
+        b = out_split(a, state, part)  # validate_matrix accepts it
+        assert b.n == a.n + 1
+        result = full_group_iso_decide(a, b)
+        assert result.verdict == "ISOMORPHIC", (a.entries, state, part)
+        assert result.det_a == result.det_b
+        nonzero += result.det_a != 0
+    assert nonzero > 200
+
+
+def test_group_determinant_matches_shift_determinant():
+    # the Smith form's check hands on det(A^t - I); shift_determinant is the
+    # independent Bareiss of I - A
+    rng = random.Random(62)
+    singular = 0
+    for matrix in POOL + [random_matrix(rng, rng.randint(2, 8)) for _ in range(200)]:
+        group, _ = bowen_franks(matrix)
+        assert group.shift_determinant == shift_determinant(matrix), matrix.entries
+        singular += group.det == 0
+    assert singular
+
+
+def test_decide_iso_runs_one_determinant_per_matrix(monkeypatch):
+    import fullshift.invariants as inv
+
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return determinant(mat)
+
+    monkeypatch.setattr(inv, "determinant", counting)
+    a, b = full_shift(3), DENSE3
+    result = full_group_iso_decide(a, b)
+    assert result.det_a and result.det_b  # both nonsingular
+    assert len(calls) == 2
+    assert result.det_a == shift_determinant(a) and result.det_b == shift_determinant(b)
 
 
 def test_full_group_iso_decide_spec_examples():

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,32 @@ def test_clopen_compare_cases():
     assert mixed.compare(cylinder(FULL2, (1,))) == "overlapping"
     assert cylinder(FULL2, (1,)).compare(cylinder(FULL2, (1,))) == "equal"
     assert cylinder(FULL2, (1,)).compare(cylinder(FULL2, (1, 1))) == "superset"
+
+
+def test_count_at_matches_refine():
+    rng = random.Random(19)
+    for matrix in POOL:
+        for _ in range(6):
+            x = random_clopen(rng, matrix, max_depth=3)
+            for gap in range(5):
+                assert x.count_at(x.depth + gap) == len(x.refine(x.depth + gap)), x
+        for x in (full_space(matrix), empty_set(matrix)):
+            for depth in range(5):
+                assert x.count_at(depth) == len(x.refine(depth)), (x, depth)
+
+
+def test_deep_compare_memory():
+    # the full set against a deep cylinder counts with one rolling row and
+    # grows no per-length table (a fresh matrix: the pool's may have one)
+    matrix = parse_matrix_text(format_matrix_text(FULL2))
+    tracemalloc.start()
+    try:
+        assert full_space(matrix).compare(cylinder(matrix, (1,) * 10000)) == "superset"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert len(matrix._cont) == 1
 
 
 def test_connect_path_spec_cases():
