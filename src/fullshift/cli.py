@@ -27,6 +27,7 @@ from . import invariants as inv
 from .errors import BadInput, FullShiftError
 from .sft import (
     CYLINDER_LIMIT,
+    EMPTY_WORD,
     ClopenSet,
     EPPoint,
     TransitionMatrix,
@@ -253,7 +254,7 @@ def _validate_matrix(args, report: Report) -> None:
 
 @_command("words", "admissible words of a given length", MATRIX, _arg("length", type=int))
 def _words(args, report: Report) -> None:
-    count = args.matrix.word_count_within(args.length, CYLINDER_LIMIT)
+    count = args.matrix.count_within((EMPTY_WORD,), args.length, CYLINDER_LIMIT)
     if count is None:
         raise BadInput(f"more than {CYLINDER_LIMIT} words of length {args.length}")
     if count * args.length > SYMBOL_LIMIT:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -117,7 +117,7 @@ def involution_into(
         raise EmptyInput("source and target must be nonempty")
     if not source.contains_point(x):
         raise PreconditionFailed("the marked point does not lie in the source set")
-    mu = min(target.refine(max(target.depth, 1)))
+    mu = next(target.view(max(target.depth, 1)))
     s, sp, u = distinct_path_pair(matrix, mu[-1])
     m = max(source.depth, len(mu) + len(s) + 2)
     nu = x.prefix(m)
@@ -244,16 +244,11 @@ def cylinder_involution(matrix: TransitionMatrix, nu: Word, target: ClopenSet) -
         raise BadInput("target set is empty")
     if target.is_subset_of(cylinder(matrix, nu)):
         raise BadInput("target set lies inside the moved cylinder")
-    mu = None
+    # the least target word of the least depth whose cylinder misses nu's
     start = max(target.depth, 1)
-    for depth in range(start, max(len(nu), start) + 1):
-        for w in sorted(target.refine(depth)):
-            k = min(len(w), len(nu))
-            if w[:k] != nu[:k]:
-                mu = w
-                break
-        if mu is not None:
-            break
+    depths = range(start, max(len(nu), start) + 1)
+    words = (w for depth in depths for w in target.view(depth) if w[: len(nu)] != nu[: len(w)])
+    mu = next(words, None)
     if mu is None:
         raise SearchLimitExceeded("no target word disjoint from the moved cylinder")
     xi = connect_path(matrix, mu[-1], nu[-1])
@@ -286,8 +281,8 @@ def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
     bound = start + target.matrix.n * count
     for depth in range(start, bound + 1):
         if target.count_at(depth) >= count:
-            words = sorted(target.refine(depth))
-            return [cylinder(target.matrix, w) for w in words[:count]]
+            words = islice(target.view(depth), count)
+            return [cylinder(target.matrix, w) for w in words]
     raise SearchLimitExceeded(
         f"target has fewer than {count} cylinders at depth {bound}; condition (I) violated?"
     )
@@ -305,7 +300,7 @@ def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
         raise EmptyInput("source and target must be nonempty")
     if not source.intersection(target).is_empty:
         raise NotDisjoint("source and target intersect")
-    sources = sorted(source.refine(max(source.depth, 2)))
+    sources = list(source.view(max(source.depth, 2)))
     corners = _disjoint_corners(target, len(sources))
     result = TableMap.identity(matrix)
     for word, corner in zip(sources, corners):
@@ -426,7 +421,8 @@ def minimality_source(u: ClopenSet, v: ClopenSet) -> ClopenSet:
         return u
     if rel == "disjoint":
         return u
-    return cylinder(u.matrix, min(u.difference(v).words))
+    rest = u.difference(v)
+    return cylinder(u.matrix, next(rest.view(rest.depth)))
 
 
 def minimality_witness(u: ClopenSet, v: ClopenSet) -> TableMap:
@@ -464,7 +460,7 @@ def free_pair(region: ClopenSet) -> tuple[TableMap, TableMap, ClopenSet]:
     matrix = region.matrix
     if region.is_empty:
         raise EmptyInput("region must be nonempty")
-    nu = min(region.refine(max(region.depth, 1)))
+    nu = next(region.view(max(region.depth, 1)))
     best: tuple[int, int, Word, Word] | None = None
     for u in matrix.symbols():
         link = connect_path(matrix, nu[-1], u)
@@ -641,7 +637,7 @@ def search_tables(
     """
     yield TableMap.identity(matrix)
     top = image_bound
-    if matrix.word_count_within(top, CYLINDER_LIMIT) is None:
+    if matrix.count_within((EMPTY_WORD,), top, CYLINDER_LIMIT) is None:
         raise BadInput(
             f"image bound {top} spans more than {CYLINDER_LIMIT} cylinders; "
             "search bookkeeping would not fit"

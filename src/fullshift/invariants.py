@@ -326,7 +326,7 @@ def clopen_class(clopen: ClopenSet, group: BFGroup | None = None) -> GroupElemen
     if clopen.is_full:
         vec = [1] * matrix.n
     else:
-        for w in clopen.words:
+        for w in clopen.code:
             vec[w[-1] - 1] += 1
     return group.element(vec)
 

@@ -2,19 +2,20 @@
 
 This module fixes the combinatorial ground the rest of the package stands
 on: validated transition matrices, admissible words as plain tuples of
-1-based symbols, clopen subsets in a canonical uniform-depth form, and
-eventually periodic points as (preperiod, period) pairs.  Everything is
-an immutable value and every operation is exact; two clopen sets denote
-the same subset of the shift space if and only if they compare equal.
-Relations between two clopen sets read the deeper set's words against
-the shallower set's words, one prefix lookup each, and only a union or
-the shallower set minus the deeper one writes words out at the deeper
-depth.
+1-based symbols, clopen subsets as reduced prefix codes, and eventually
+periodic points as (preperiod, period) pairs.  Everything is an immutable
+value and every operation is exact; two clopen sets denote the same
+subset of the shift space if and only if they compare equal.  A clopen
+set stores only its maximal cylinders, as ``TableMap`` stores only its
+prefix code, so a deep cylinder costs one word; the set's words of one
+common depth are computed when read, and only the text formats read them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -48,12 +49,10 @@ class TransitionMatrix:
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         self.n = len(entries)
         self.entries = entries
-        self._succ = (None,) + tuple(
+        self._succ = (tuple(range(1, self.n + 1)),) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
         )
-        # _after[a][b]: the follower of a next after b (the least for b = 0),
-        # 0 after the last; a = 0 stands for the empty word.  Built by
-        # least_gap on first use.
+        # built by followers_after on first use
         self._after: tuple[dict[int, int], ...] | None = None
         # _cont[k][sym]: the number of words of length k that may follow sym
         self._cont: list[tuple[int, ...]] = [(1,) * (self.n + 1)]
@@ -75,6 +74,7 @@ class TransitionMatrix:
         return self.entries[i - 1]
 
     def successors(self, i: int) -> tuple[int, ...]:
+        """The followers of symbol i; every symbol for i = 0."""
         return self._succ[i]
 
     def symbols(self) -> range:
@@ -104,34 +104,41 @@ class TransitionMatrix:
             return 1
         return sum(self.continuation_count(s, k - 1) for s in self.symbols())
 
-    def word_count_within(self, k: int, limit: int) -> int | None:
-        """``word_count(k)`` when it is at most limit, else None.
+    def count_within(self, words: Iterable[Word], k: int, limit: int) -> int | None:
+        """The number of length-k extensions of the given prefix-incomparable
+        words, none longer than k, when it is at most limit; else None.
 
-        One rolling row of counts by last symbol, with no table kept.  Every
-        symbol has a follower, so the count never falls as the length
-        grows, and the loop stops at the first length past the limit."""
+        One sparse rolling row of counts by last symbol (0 for the empty
+        word) that each word joins at its length.  Every symbol has a
+        follower, so the count never falls, and the loop stops at the first
+        length past the limit."""
         if k < 0:
             raise BadInput("word length must be non-negative")
-        if k == 0:
-            return 1 if limit >= 1 else None
-        row = [0] + [1] * self.n
-        total = self.n
-        for _ in range(k - 1):
+        succ = self._succ
+        joins: dict[int, list[int]] = {}
+        for w in words:
+            joins.setdefault(len(w), []).append(w[-1] if w else 0)
+        row: dict[int, int] = {}
+        total = 0
+        for length in range(min(joins, default=k), k + 1):
+            nxt: dict[int, int] = {}
+            for a, c in row.items():
+                for b in succ[a]:
+                    nxt[b] = nxt.get(b, 0) + c
+            for a in joins.get(length, ()):
+                nxt[a] = nxt.get(a, 0) + 1
+            row = nxt
+            total = sum(row.values())
             if total > limit:
                 return None
-            row = self._longer(row)
-            total = sum(row)
-        return total if total <= limit else None
+        return total
 
-    def _longer(self, row: list[int]) -> list[int]:
-        """Counts of words by last symbol (``row[sym]``, row[0] unused),
-        carried to the words one symbol longer."""
-        succ = self._succ
-        nxt = [0] * (self.n + 1)
-        for a in self.symbols():
-            for b in succ[a]:
-                nxt[b] += row[a]
-        return nxt
+    def followers_after(self) -> tuple[dict[int, int], ...]:
+        """after[a][b]: the follower of a next after b (the least for b = 0),
+        0 after the last; a = 0 stands for the empty word.  Built once."""
+        if self._after is None:
+            self._after = tuple(dict(zip((0,) + r, r + (0,))) for r in self._succ)
+        return self._after
 
     def words(self, k: int) -> tuple[Word, ...]:
         """All admissible words of length k, lexicographically sorted: the
@@ -164,7 +171,7 @@ class TransitionMatrix:
         succ = self._succ
         path = list(word)
         # stack[i] iterates the candidates for the symbol at position len(word) + i
-        stack = [iter(succ[word[-1]] if word else self.symbols())]
+        stack = [iter(succ[word[-1] if word else 0])]
         while stack:
             if len(stack) == gap:
                 prefix = tuple(path)
@@ -242,176 +249,148 @@ def _reached(succ: Sequence[Sequence[int]], start: int) -> set[int]:
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """A clopen subset in canonical form: a set of words of one common depth.
+    """A clopen subset as its reduced prefix code: its maximal cylinders,
+    a sorted tuple of prefix-incomparable words with no complete sibling
+    family.  The code is unique, so equal sets have equal codes; the empty
+    set has no word and the whole space the empty word alone.
 
-    The canonical form is the unique minimal uniform depth: words are
-    padded to a common length and merged back down whenever *every*
-    present sibling family is complete.  The empty set is depth 0 with no
-    words; the whole space is depth 0 with the empty word.
-
-    The relations go through :meth:`_split`, which sorts the deeper set's
-    words into those inside and outside the shallower set.  Comparison,
-    inclusion, intersection and the deeper set minus the shallower one
-    read that split and list no other words: their cost is linear in the
-    deeper set's words, plus at most one count per shallower word.  A
-    union, and the shallower set minus the deeper one, expand shallower
-    words to the deeper depth, as their result may need.
+    ``depth``, the longest code word (found once), is the least depth at
+    which the set is a union of cylinders of one length.  :meth:`view`
+    streams the set's words of such a depth in sorted order; ``words``,
+    :meth:`refine` and the text format list them once :meth:`_check_view`
+    has counted them.  Only the greatest code word at most w can be a
+    prefix of w, so membership is one bisection, and the relations are
+    built from such lookups without padding any word.
     """
 
     matrix: TransitionMatrix
-    depth: int
-    words: frozenset[Word]
+    code: tuple[Word, ...]
+
+    @cached_property
+    def depth(self) -> int:
+        return max(map(len, self.code)) if self.code else 0
 
     @property
     def is_empty(self) -> bool:
-        return not self.words
+        return not self.code
 
     @property
     def is_full(self) -> bool:
-        return self.depth == 0 and bool(self.words)
+        return self.code == (EMPTY_WORD,)
+
+    @property
+    def words(self) -> frozenset[Word]:
+        """The uniform view at ``depth``."""
+        return self.refine(self.depth)
+
+    def view(self, depth: int) -> Iterator[Word]:
+        """Every word of the given depth >= self.depth inside the set, in
+        sorted order: the code words in order, each extended in order."""
+        extensions = self.matrix.extensions
+        for w in self.code:
+            yield from extensions(w, depth)
 
     def refine(self, depth: int) -> frozenset[Word]:
         """The same set written as words of the given depth >= self.depth."""
+        self._check_view(depth)
+        return frozenset(self.view(depth))
+
+    def sorted_words(self) -> list[Word]:
+        return sorted(self.words)
+
+    def _check_view(self, depth: int) -> None:
+        """Refuse a depth below ``depth``, or one at which the set has more
+        than ``CYLINDER_LIMIT`` words, before any word is listed."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
-        if depth == self.depth:
-            return self.words
-        out = []
-        for w in self.words:
-            out.extend(self.matrix.extensions(w, depth))
-        return frozenset(out)
-
-    def contains_point(self, point: "EPPoint") -> bool:
-        if self.is_empty:
-            return False
-        return point.prefix(self.depth) in self.words
-
-    def contains_word(self, word: Word) -> bool:
-        """Whether the whole cylinder of the word lies inside this set."""
-        if self.is_empty:
-            return False
-        if len(word) >= self.depth:
-            return word[: self.depth] in self.words
-        return all(w in self.words for w in self.matrix.extensions(word, self.depth))
-
-    def meets_word(self, word: Word) -> bool:
-        """Whether the cylinder of the word intersects this set."""
-        if self.is_empty:
-            return False
-        if len(word) >= self.depth:
-            return word[: self.depth] in self.words
-        return any(w[: len(word)] == word for w in self.words)
-
-    def complement(self) -> "ClopenSet":
-        """Every word of this set's depth not in it, canonicalized.  The
-        words are listed, so a depth with more than ``CYLINDER_LIMIT``
-        words is refused before any is listed."""
-        matrix, depth = self.matrix, self.depth
-        # at most n ** depth words exist, so a shallow set skips the count
-        if (
-            matrix.n ** depth > CYLINDER_LIMIT
-            and matrix.word_count_within(depth, CYLINDER_LIMIT) is None
-        ):
+        # at most n ** depth words exist, so a shallow view skips the count
+        limit, matrix = CYLINDER_LIMIT, self.matrix
+        if matrix.n**depth > limit and matrix.count_within(self.code, depth, limit) is None:
             raise BadInput(
-                f"the complement at depth {depth} spans more than {CYLINDER_LIMIT} cylinders"
+                f"the clopen set at depth {depth} spans more than {CYLINDER_LIMIT} cylinders"
             )
-        rest = set(matrix.words(depth)) - self.words
-        return canonicalize_clopen(matrix, rest)
 
     def count_at(self, depth: int) -> int:
-        """``len(self.refine(depth))``, counted without listing the words:
-        one rolling row of counts by last symbol, with no table kept, so a
-        deep count costs memory linear in the depth."""
+        """``len(self.refine(depth))``, counted without listing the words."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
         matrix = self.matrix
-        if not self.words or depth == 0:
-            return len(self.words)
-        if self.depth == 0:
-            row, start = [0] + [1] * matrix.n, 1
-        else:
-            row, start = [0] * (matrix.n + 1), self.depth
-            for w in self.words:
-                row[w[-1]] += 1
-        for _ in range(depth - start):
-            row = matrix._longer(row)
-        return sum(row)
+        return sum(
+            matrix.continuation_count(w[-1], depth - len(w)) if w else matrix.word_count(depth)
+            for w in self.code
+        )
+
+    def contains_point(self, point: "EPPoint") -> bool:
+        return self.contains_word(point.prefix(self.depth))
+
+    def contains_word(self, word: Word) -> bool:
+        """Whether the whole cylinder of the word lies inside this set: the
+        greatest code word at most word is a prefix of it."""
+        code = self.code
+        i = bisect_right(code, word)
+        return bool(i) and word[: len(code[i - 1])] == code[i - 1]
+
+    def meets_word(self, word: Word) -> bool:
+        """Whether the cylinder of the word intersects this set: a code word
+        holds it, or the next code word after word lies in it."""
+        code = self.code
+        i = bisect_right(code, word)
+        if i and word[: len(code[i - 1])] == code[i - 1]:
+            return True
+        return i < len(code) and code[i][: len(word)] == word
+
+    def complement(self) -> "ClopenSet":
+        return full_space(self.matrix).difference(self)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        _, shallow, _, outside = self._split(other)
-        return canonicalize_clopen(self.matrix, [*shallow.words, *outside], trusted=True)
+        self._same_matrix(other)
+        return canonicalize_clopen(self.matrix, self.code + other.code, trusted=True)
 
     def intersection(self, other: "ClopenSet") -> "ClopenSet":
-        _, _, inside, _ = self._split(other)
-        return canonicalize_clopen(self.matrix, inside, trusted=True)
+        """The deeper word of each nested pair of code words."""
+        self._same_matrix(other)
+        out = [w for w in self.code if other.contains_word(w)]
+        out += [w for w in other.code if self.contains_word(w)]
+        return canonicalize_clopen(self.matrix, out, trusted=True)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        deep, shallow, inside, outside = self._split(other)
-        if deep is self:
-            return canonicalize_clopen(self.matrix, outside, trusted=True)
-        # a shallower word the deeper set meets loses its inside extensions;
-        # the others stay whole
-        d, kept = shallow.depth, set(inside)
-        met = {w[:d] for w in inside}
-        out = [w for w in shallow.words if w not in met]
-        for w in met:
-            out.extend(x for x in self.matrix.extensions(w, deep.depth) if x not in kept)
-        return canonicalize_clopen(self.matrix, out, trusted=True)
+        """Each code word cut along the other set: a word inside it goes, a
+        word that misses it stays, and any other word splits into its
+        one-symbol extensions."""
+        self._same_matrix(other)
+        matrix, code, out = self.matrix, other.code, []
+        pending = list(self.code)
+        while pending:
+            w = pending.pop()
+            i = bisect_right(code, w)  # as in meets_word
+            if i and w[: len(code[i - 1])] == code[i - 1]:
+                continue
+            if i < len(code) and code[i][: len(w)] == w:
+                pending.extend(w + (a,) for a in matrix.successors(w[-1] if w else 0))
+            else:
+                out.append(w)
+        return canonicalize_clopen(matrix, out, trusted=True)
 
     def compare(self, other: "ClopenSet") -> str:
         """Exact relation: equal, subset, superset, disjoint or overlapping."""
-        deep, shallow, inside, outside = self._split(other)
-        deep_in = not outside
-        shallow_in = len(inside) == shallow.count_at(deep.depth)
-        self_in, other_in = (deep_in, shallow_in) if deep is self else (shallow_in, deep_in)
+        self_in, other_in = self.is_subset_of(other), other.is_subset_of(self)
         if self_in and other_in:
             return "equal"
         if self_in:
             return "subset"
         if other_in:
             return "superset"
-        return "overlapping" if inside else "disjoint"
+        return "overlapping" if any(other.meets_word(w) for w in self.code) else "disjoint"
 
     def is_subset_of(self, other: "ClopenSet") -> bool:
-        deep, shallow, inside, outside = self._split(other)
-        if deep is self:
-            return not outside
-        return len(inside) == shallow.count_at(deep.depth)
+        """Whether each code word lies inside the other set: a cylinder
+        inside a set lies inside one of its maximal cylinders."""
+        self._same_matrix(other)
+        return all(other.contains_word(w) for w in self.code)
 
-    def _split(
-        self, other: "ClopenSet"
-    ) -> tuple["ClopenSet", "ClopenSet", list[Word], list[Word]]:
-        """The deeper operand read against the shallower one's words:
-        (deep, shallow, inside, outside), where a word of the deeper set is
-        inside when its prefix at the shallower depth is a word of the
-        shallower set.  On equal depths self is the deeper one.
-
-        So the inside words are the intersection and the outside words the
-        deeper set minus the shallower one, both at the deeper depth; the
-        deeper set lies in the shallower one iff nothing is outside, and the
-        shallower set lies in the deeper one iff every extension of its
-        words to the deeper depth is inside, which :meth:`count_at` counts.
-        """
+    def _same_matrix(self, other: "ClopenSet") -> None:
         if self.matrix != other.matrix:
             raise MatrixMismatch("clopen sets live over different matrices")
-        deep, shallow = (self, other) if self.depth >= other.depth else (other, self)
-        d, words = shallow.depth, shallow.words
-        inside: list[Word] = []
-        outside: list[Word] = []
-        for w in deep.words:
-            (inside if w[:d] in words else outside).append(w)
-        return deep, shallow, inside, outside
-
-    def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
-
-    def __repr__(self):
-        if self.is_empty:
-            return "ClopenSet(EMPTY)"
-        if self.is_full:
-            return "ClopenSet(FULL)"
-        inner = " ".join(",".join(map(str, w)) for w in self.sorted_words())
-        return f"ClopenSet(depth={self.depth}, {{{inner}}})"
 
 
 def canonicalize_clopen(
@@ -419,46 +398,47 @@ def canonicalize_clopen(
     raw: Iterable[Sequence[int]],
     trusted: bool = False,
 ) -> ClopenSet:
-    """Canonical form of a union of cylinders given by arbitrary words.
+    """The reduced prefix code of a union of cylinders given by any words.
 
     With ``trusted`` the words must already be admissible tuples of ints,
     and are taken as they are; otherwise each is converted and checked.
-    Words are padded to the common maximum depth by all admissible
-    extensions, then whole levels are merged back while every sibling
-    family present is complete.  Inputs denoting the same subset always
-    produce equal results.
+
+    One sweep over the sorted words keeps the code so far on a stack.  A
+    word inside an earlier one (or equal to it) lies inside the top, since
+    every word sorted between a word and its extension extends it too, and
+    is dropped.  Any other word is pushed with its run: itself and the
+    siblings right below it, as siblings sort together.  A run that is a
+    whole family ending in its last child is replaced by the parent.
     """
     if trusted:
-        words = set(raw)
+        words = sorted(raw)
     else:
-        words = set()
+        checked = set()
         for w in raw:
             t = tuple(int(s) for s in w)
             if not matrix.is_admissible(t):
                 raise InadmissibleWord(f"word {t} is not admissible")
-            words.add(t)
-    if not words:
-        return ClopenSet(matrix, 0, frozenset())
-    lengths = set(map(len, words))
-    depth = max(lengths)
-    if len(lengths) > 1:
-        padded = set()
-        for w in words:
-            padded.update(matrix.extensions(w, depth))
-        words = padded
-    # each word lies in one sibling family, of at most as many distinct
-    # admissible words as its parent has followers; so every family is
-    # complete exactly when the followers of the parents add up to the words
-    succ = matrix._succ
-    while depth > 1:
-        parents = {w[:-1] for w in words}
-        if sum([len(succ[p[-1]]) for p in parents]) != len(words):
-            break
-        words = parents
-        depth -= 1
-    if depth == 1 and len(words) == matrix.n:
-        return ClopenSet(matrix, 0, frozenset((EMPTY_WORD,)))
-    return ClopenSet(matrix, depth, frozenset(words))
+            checked.add(t)
+        words = sorted(checked)
+    after = matrix.followers_after()
+    stack: list[Word] = []
+    runs: list[int] = []  # runs[i]: stack[i] and its siblings right below it
+    for w in words:
+        if stack and w[: len(stack[-1])] == stack[-1]:
+            continue
+        run = 1
+        while w:
+            parent = w[:-1]
+            top = stack[-1] if stack else EMPTY_WORD
+            run = runs[-1] + 1 if len(top) == len(w) and top[:-1] == parent else 1
+            up = after[parent[-1] if parent else 0]
+            if up[w[-1]] or run < len(up) - 1:
+                break  # not the last child, or a sibling is missing
+            del stack[len(stack) + 1 - run :], runs[len(runs) + 1 - run :]
+            w = parent
+        stack.append(w)
+        runs.append(run)
+    return ClopenSet(matrix, tuple(stack))
 
 
 def cylinder(matrix: TransitionMatrix, word: Sequence[int]) -> ClopenSet:
@@ -466,11 +446,11 @@ def cylinder(matrix: TransitionMatrix, word: Sequence[int]) -> ClopenSet:
 
 
 def full_space(matrix: TransitionMatrix) -> ClopenSet:
-    return ClopenSet(matrix, 0, frozenset({EMPTY_WORD}))
+    return ClopenSet(matrix, (EMPTY_WORD,))
 
 
 def empty_set(matrix: TransitionMatrix) -> ClopenSet:
-    return ClopenSet(matrix, 0, frozenset())
+    return ClopenSet(matrix, ())
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +584,7 @@ def least_gap(matrix: TransitionMatrix, words: list[Word]) -> Word | None:
     prefix of p and the word.  The cost is linear in the total length of
     the words, with no counts.
     """
-    after = matrix._after
-    if after is None:
-        rows = (tuple(matrix.symbols()),) + matrix._succ[1:]
-        after = matrix._after = tuple(dict(zip((0,) + r, r + (0,))) for r in rows)
+    after = matrix.followers_after()
     gap: Word | None = EMPTY_WORD
     for w in words:
         if w[: len(gap)] != gap[: len(w)]:
@@ -631,9 +608,7 @@ def point_in(clopen: ClopenSet) -> EPPoint:
     """A concrete eventually periodic point of a nonempty clopen set."""
     if clopen.is_empty:
         raise BadInput("the empty set contains no points")
-    word = min(clopen.words)
-    if not word:
-        word = (1,)
+    word = next(clopen.view(max(clopen.depth, 1)))
     return EPPoint.make(word, first_return(clopen.matrix, word[-1]))
 
 
@@ -741,12 +716,24 @@ def parse_word(text: str) -> Word:
 
 
 def format_clopen_text(clopen: ClopenSet) -> str:
+    """``D depth`` then the uniform view, one word a line, streamed from the
+    code: each code word is formatted once, then each of its extensions
+    adds only the text of its suffix."""
     if clopen.is_empty:
         return "EMPTY\n"
     if clopen.is_full:
         return "FULL\n"
-    lines = [f"D {clopen.depth}"]
-    lines.extend(format_word(w) for w in clopen.sorted_words())
+    depth = clopen.depth
+    clopen._check_view(depth)
+    lines = [f"D {depth}"]
+    extensions = clopen.matrix.extensions
+    for w in clopen.code:
+        k = len(w)
+        if k == depth:
+            lines.append(format_word(w))
+        else:
+            head = format_word(w) + ","
+            lines.extend(head + ",".join(map(str, x[k:])) for x in extensions(w, depth))
     return "\n".join(lines) + "\n"
 
 

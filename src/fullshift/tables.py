@@ -27,6 +27,7 @@ the same homeomorphism exactly when their reduced codes are equal.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -341,23 +342,25 @@ class TableMap:
         return self.support().is_subset_of(region)
 
     def image_clopen(self, clopen: ClopenSet) -> ClopenSet:
-        """The image of a clopen set, as a canonical clopen set."""
+        """The image of a clopen set, as a canonical clopen set.  A domain
+        cylinder meets the set in all of it, when a code word of the set is
+        a prefix of its word, or else in the run of code words that extend
+        its word; one bisection finds either."""
         if self.matrix != clopen.matrix:
             raise MatrixMismatch("clopen set lives over a different matrix")
-        if clopen.is_empty:
-            return clopen
-        # each domain cylinder meets the set in whole cylinders: all of it
-        # when its word is at least as long as the set's words, else the
-        # set's words that extend it
-        depth, words = clopen.depth, clopen.words
-        out = []
+        words, out = clopen.code, []
+        last = len(words)
         for nu, rho in self.code.items():
-            k = len(nu)
-            if k >= depth:
-                if nu[:depth] in words:
+            i = bisect_right(words, nu)
+            if i:
+                w = words[i - 1]
+                if nu[: len(w)] == w:
                     out.append(rho)
-            else:
-                out.extend(rho + w[k:] for w in words if w[:k] == nu)
+                    continue
+            k = len(nu)
+            while i < last and words[i][:k] == nu:
+                out.append(rho + words[i][k:])
+                i += 1
         return canonicalize_clopen(self.matrix, out, trusted=True)
 
     def split_invariant(self, region: ClopenSet) -> tuple["TableMap", "TableMap"]:
@@ -470,9 +473,21 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
 
 def format_table_text(table: TableMap) -> str:
     """The uniform view as text: ``L depth`` then one line per entry, in
-    sorted order, streamed from the code."""
-    lines = [f"L {table.depth}"]
-    lines.extend(f"{format_word(w)} -> {format_word(image)}" for w, image in table._uniform_view())
+    sorted order, streamed from the code.  Each code word and its image
+    are formatted once; each extension adds the text of its suffix, which
+    the domain and the image share."""
+    depth = table.depth
+    lines = [f"L {depth}"]
+    extensions = table.matrix.extensions
+    for nu, rho in sorted(table.code.items()):
+        k = len(nu)
+        if k == depth:
+            lines.append(f"{format_word(nu)} -> {format_word(rho)}")
+            continue
+        dom, img = ("".join(f"{s}," for s in x) for x in (nu, rho))
+        for w in extensions(nu, depth):
+            tail = ",".join(map(str, w[k:]))
+            lines.append(f"{dom}{tail} -> {img}{tail}")
     return "\n".join(lines) + "\n"
 
 

@@ -225,9 +225,55 @@ def second_return_oracle(matrix: TransitionMatrix, sym: int, ret):
     return None
 
 
+def uniform_clopen_oracle(matrix: TransitionMatrix, raw) -> tuple[int, frozenset]:
+    """The least uniform form (depth, words) of a union of cylinders: words
+    padded to the common maximum depth by all admissible extensions, then
+    whole levels merged back while every sibling family present is
+    complete (the former library canonical form)."""
+    words = set(raw)
+    if not words:
+        return 0, frozenset()
+    lengths = set(map(len, words))
+    depth = max(lengths)
+    if len(lengths) > 1:
+        padded = set()
+        for w in words:
+            padded.update(matrix.extensions(w, depth))
+        words = padded
+    # each word lies in one sibling family, of at most as many distinct
+    # admissible words as its parent has followers; so every family is
+    # complete exactly when the followers of the parents add up to the words
+    while depth > 1:
+        parents = {w[:-1] for w in words}
+        if sum([len(matrix.successors(p[-1])) for p in parents]) != len(words):
+            break
+        words = parents
+        depth -= 1
+    if depth == 1 and len(words) == matrix.n:
+        return 0, frozenset(((),))
+    return depth, frozenset(words)
+
+
+def clopen_text_oracle(matrix: TransitionMatrix, raw) -> str:
+    """The ``D depth`` text of the oracle's uniform form, one sorted word a
+    line (the former library writer)."""
+    depth, words = uniform_clopen_oracle(matrix, raw)
+    if not words:
+        return "EMPTY\n"
+    if not depth:
+        return "FULL\n"
+    return "\n".join([f"D {depth}"] + [format_word(w) for w in sorted(words)]) + "\n"
+
+
+def uniform_form(clopen: ClopenSet) -> tuple[int, frozenset]:
+    """A library clopen set as (depth, words), to compare with the oracle."""
+    return clopen.depth, clopen.words
+
+
 def clopen_relations_oracle(x: ClopenSet, y: ClopenSet) -> dict:
     """compare, is_subset_of, union, intersection and difference of x and y,
-    with both sets refined to the deeper depth (the former library code)."""
+    with both sets refined to the deeper depth (the former library code);
+    the three sets as :func:`uniform_clopen_oracle` forms."""
     depth = max(x.depth, y.depth)
     a, b = x.refine(depth), y.refine(depth)
     if a == b:
@@ -243,9 +289,9 @@ def clopen_relations_oracle(x: ClopenSet, y: ClopenSet) -> dict:
     return {
         "compare": relation,
         "is_subset_of": a <= b,
-        "union": canonicalize_clopen(x.matrix, a | b),
-        "intersection": canonicalize_clopen(x.matrix, a & b),
-        "difference": canonicalize_clopen(x.matrix, a - b),
+        "union": uniform_clopen_oracle(x.matrix, a | b),
+        "intersection": uniform_clopen_oracle(x.matrix, a & b),
+        "difference": uniform_clopen_oracle(x.matrix, a - b),
     }
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import fullshift.constructions as cons
 import fullshift.invariants as inv
+import fullshift.sft as sft
 from fullshift.sft import cylinder
 
 from helpers import FULL2, GOLDEN, cylinder_swap
@@ -17,7 +18,7 @@ BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 @contextmanager
 def traced():
-    """Run the block under the installed tracer; yields its counters."""
+    """Run the block under the installed tracer; yields the tracer."""
     sys.path.insert(0, BENCH)
     try:
         import spans
@@ -27,14 +28,14 @@ def traced():
     spans.install(tracer)
     tracer.active = True
     try:
-        yield tracer.counters
+        yield tracer
     finally:
         tracer.active = False
         tracer.uninstall()
 
 
 def test_tracer_counts_words_extensions_and_search():
-    with traced() as counters:
+    with traced() as tracer:
         swap = cylinder_swap(FULL2, (1,), (2,))
         assert swap.compose(swap).is_identity
         assert swap.order(4) == 2
@@ -42,6 +43,7 @@ def test_tracer_counts_words_extensions_and_search():
         assert len(list(GOLDEN.extensions((1,), 4))) == 5
         assert cons.witness_search(FULL2, lambda t: not t.is_identity, 1, 1) is not None
         inv.gamma_equivalent(cylinder(FULL2, (1,)), cylinder(FULL2, (2,)))
+    counters = tracer.counters
     assert counters["sft.words.calls"] > 0
     assert counters["sft.extensions.words"] > 0
     assert counters["constructions.search.tables_visited"] > 0
@@ -50,6 +52,18 @@ def test_tracer_counts_words_extensions_and_search():
 def test_tracer_sees_every_table_of_an_exhaust():
     # the search hands every table to _run_search's visitor, which the
     # tracer wraps by name: a FULL2 3/3 exhaust visits all 40,443 tables
-    with traced() as counters:
+    with traced() as tracer:
         assert cons.witness_search(FULL2, lambda t: False, 3, 3) is None
-    assert counters["constructions.search.tables_visited"] == 40443
+    assert tracer.counters["constructions.search.tables_visited"] == 40443
+
+
+def test_tracer_counts_clopen_canonicalization():
+    # the span reads the words of canonicalize_clopen as its second
+    # positional argument, which a caller may pass as a generator
+    u, v = cylinder(FULL2, (1, 1)), cylinder(FULL2, (2,))
+    with traced() as tracer:
+        assert u.union(v).complement() == cylinder(FULL2, (1, 2))
+        assert cylinder_swap(FULL2, (1,), (2,)).image_clopen(u) == cylinder(FULL2, (2, 1))
+        assert sft.canonicalize_clopen(FULL2, (w for w in [(1,), (2,)])).is_full
+    assert tracer.totals()["sft.canonicalize_clopen"][0] > 0
+    assert tracer.counters["sft.canonicalize_clopen.words_in"] > 0

@@ -89,7 +89,7 @@ def test_clopen_complement_refuses_huge_depth_at_once(files, tmp_path, capsys):
     assert run(["clopen", files["full2.mat"], "complement", str(clopen)]) == 1
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"ERROR: BadInput: the complement at depth 40 spans more than {CYLINDER_LIMIT} cylinders"
+        f"ERROR: BadInput: the clopen set at depth 40 spans more than {CYLINDER_LIMIT} cylinders"
     )
 
 

@@ -15,7 +15,6 @@ from fullshift.cli import run
 from fullshift.constructions import enumerate_tables
 from fullshift.errors import ImagesDontCover
 from fullshift.sft import (
-    ClopenSet,
     empty_set,
     format_clopen_text,
     format_matrix_text,
@@ -32,12 +31,15 @@ from helpers import (
     GOLDEN,
     POOL,
     clopen_relations_oracle,
+    clopen_text_oracle,
     enumerate_points,
     images_cover_oracle,
     maps_agree_oracle,
     random_matrix,
     random_table,
     table_text_oracle,
+    uniform_clopen_oracle,
+    uniform_form,
     uniform_view_oracle,
     words_oracle,
 )
@@ -70,6 +72,7 @@ def test_trusted_canonical_form_equals_checked(case):
     matrix, words = case
     canon = canonicalize_clopen(matrix, words, trusted=True)
     assert canon == canonicalize_clopen(matrix, words)
+    assert uniform_form(canon) == uniform_clopen_oracle(matrix, words)
     if not words:
         return
     # the same cylinders, at the least uniform depth
@@ -87,22 +90,21 @@ def test_trusted_canonical_form_equals_checked(case):
 
 @st.composite
 def clopen_pairs(draw):
-    """Two clopen sets over one matrix: empty, full, canonical, or words of
-    one depth taken as they are (a ClopenSet that need not be canonical);
-    the second is drawn at the first one's depth half of the time."""
+    """Two clopen sets over one matrix: empty, full, or the cylinders of
+    words of one depth or of mixed lengths up to it, canonicalized; the
+    second is drawn at the first one's depth half of the time."""
     matrix = draw(st.sampled_from(POOL))
 
     def clopen(depth=None):
-        kind = draw(st.sampled_from(["empty", "full", "canonical", "raw"]))
+        kind = draw(st.sampled_from(["empty", "full", "uniform", "mixed"]))
         if kind == "empty":
             return empty_set(matrix)
         if kind == "full":
             return full_space(matrix)
         depth = depth or draw(st.integers(1, 4))
-        words = draw(st.lists(st.sampled_from(matrix.words(depth)), max_size=12))
-        if kind == "canonical":
-            return canonicalize_clopen(matrix, words)
-        return ClopenSet(matrix, depth, frozenset(words))
+        lengths = [depth] if kind == "uniform" else range(1, depth + 1)
+        pool = [w for k in lengths for w in matrix.words(k)]
+        return canonicalize_clopen(matrix, draw(st.lists(st.sampled_from(pool), max_size=12)))
 
     x = clopen()
     return x, clopen(x.depth if x.depth and draw(st.booleans()) else None)
@@ -115,9 +117,9 @@ def test_clopen_relations_agree_with_common_depth_oracle(pair):
         expected = clopen_relations_oracle(x, y)
         assert x.compare(y) == expected["compare"]
         assert x.is_subset_of(y) == expected["is_subset_of"]
-        assert x.union(y) == expected["union"]
-        assert x.intersection(y) == expected["intersection"]
-        assert x.difference(y) == expected["difference"]
+        assert uniform_form(x.union(y)) == expected["union"]
+        assert uniform_form(x.intersection(y)) == expected["intersection"]
+        assert uniform_form(x.difference(y)) == expected["difference"]
 
 
 @SEEDED
@@ -237,6 +239,7 @@ def test_clopen_text_round_trips(case):
     matrix, words = case
     clopen = canonicalize_clopen(matrix, words)
     text = format_clopen_text(clopen)
+    assert text == clopen_text_oracle(matrix, words)
     assert parse_clopen_text(matrix, text) == clopen
     assert format_clopen_text(parse_clopen_text(matrix, text)) == text
 

@@ -7,9 +7,11 @@ import tracemalloc
 import pytest
 
 from fullshift import (
+    BadInput,
     ConditionIFails,
     EPPoint,
     InadmissibleWord,
+    MatrixMismatch,
     NotEssential,
     NotIrreducible,
     canonicalize_clopen,
@@ -170,6 +172,19 @@ def test_boolean_algebra_laws_randomized():
         assert x.union(y).complement() == x.complement().intersection(y.complement())
         assert x.intersection(y).complement() == x.complement().union(y.complement())
         assert x.complement().complement() == x
+
+
+def test_deep_complement_is_exact_and_its_view_is_refused():
+    # 40 code words; at one depth the complement would be 2^40 - 1 words
+    deep = cylinder(FULL2, (1,) * 40)
+    rest = deep.complement()
+    assert len(rest.code) == 40 and rest.depth == 40
+    assert rest.union(deep).is_full and rest.intersection(deep).is_empty
+    assert rest.compare(deep) == "disjoint"
+    with pytest.raises(BadInput, match="at depth 40 spans more than"):
+        rest.words
+    with pytest.raises(MatrixMismatch):
+        rest.union(cylinder(GOLDEN, (1,)))
 
 
 def test_clopen_compare_cases():

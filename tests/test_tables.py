@@ -1,6 +1,8 @@
 """Full-group tables: validation, arithmetic, supports, cocycles."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -204,6 +206,33 @@ def test_image_clopen_cases():
     assert WORKED.image_clopen(cylinder(FULL2, (1, 1))) == cylinder(FULL2, (1, 1, 1))
     with pytest.raises(MatrixMismatch):
         SWAP.image_clopen(cylinder(GOLDEN, (1,)))
+
+
+def test_deep_swap_support_is_two_code_words():
+    # the support of the swap of [1] and [2^18] is two cylinders; padded to
+    # one depth it was 2^17 + 1 words
+    swap = cylinder_swap(FULL2, (1,), (2,) * 18)
+    start = time.perf_counter()
+    support = swap.support()
+    assert time.perf_counter() - start < 0.1
+    assert support.code == ((1,), (2,) * 18)
+    tracemalloc.start()
+    try:
+        swap.support()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_image_clopen_under_a_deep_swap():
+    # padded to the image's depth, the whole space would be 2^40 words
+    swap = cylinder_swap(FULL2, (1,), (2,) * 40)
+    start = time.perf_counter()
+    assert swap.image_clopen(full_space(FULL2)) == full_space(FULL2)
+    assert swap.image_clopen(cylinder(FULL2, (1,))) == cylinder(FULL2, (2,) * 40)
+    assert swap.image_clopen(cylinder(FULL2, (2,))).complement() == cylinder(FULL2, (2,) * 40)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_split_invariant_cases():
