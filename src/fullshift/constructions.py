@@ -37,6 +37,7 @@ from .sft import (
     TransitionMatrix,
     Word,
     connect_path,
+    cut,
     cylinder,
     distinct_path_pair,
     first_return,
@@ -58,15 +59,10 @@ def _incomparable(a: Word, b: Word) -> bool:
 
 def _cylinder_table(matrix: TransitionMatrix, moves: dict[Word, Word]) -> TableMap:
     """The table carrying each cylinder in `moves` onto the cylinder of its
-    image and fixing the rest.  Its code is the moved words plus, along
-    the path to each, the sibling words the path passes."""
+    image and fixing the rest.  Its code is the moved words plus the pieces
+    of the whole space, cut along the moved words, that miss them all."""
     code = dict(moves)
-    path = {w[:k] for w in moves for k in range(len(w))}
-    for p in path:
-        for a in matrix.successors(p[-1]) if p else matrix.symbols():
-            w = p + (a,)
-            if w not in path and w not in code:
-                code[w] = w
+    code.update((w, w) for w, i in cut(matrix, sorted(moves), EMPTY_WORD) if i < 0)
     validate_images(matrix, code)
     return TableMap(matrix, max(map(len, moves)), code)
 
@@ -158,39 +154,29 @@ def matched_partition(
     """Cylinder pairs (nu_i, rho_i) with the U_nu_i partitioning u, their
     images U_rho_i the gamma-images, both sides of length >= min_len.
 
-    A table map carries each sufficiently deep cylinder onto a cylinder by
-    a prefix rewrite; this extracts that matched family at the shallowest
-    depths it holds.  Walking down from the root, a word inside u is taken
-    as soon as it has length >= min_len and the reduced code of gamma
-    rewrites it onto an image of length >= min_len, and in any case at
-    depth max(gamma.depth, u.depth, min_len).  Pairs whose image is still
-    shorter than min_len are then split into their children.
+    Each code word of u is cut along the domain of gamma's reduced code,
+    so every piece lies in one domain cylinder and is carried onto a
+    cylinder by a prefix rewrite; a pair with a side shorter than min_len
+    is then split into its children.  The pairs are the shallowest words
+    inside u with both properties, in sorted order.
     """
     matrix = gamma.matrix
     g = gamma.reduce()
-    depth = max(gamma.depth, u.depth, min_len)
-    pairs: dict[Word, Word] = {}
-    stack = [EMPTY_WORD]
-    while stack:
-        nu = stack.pop()
-        if not u.meets_word(nu):
-            continue
-        if len(nu) >= min_len:
-            rho = g.word_image(nu)
-            if len(nu) == depth or (
-                rho is not None and len(rho) >= min_len and u.contains_word(nu)
-            ):
-                pairs[nu] = rho
-                continue
-        stack.extend(nu + (a,) for a in (matrix.successors(nu[-1]) if nu else matrix.symbols()))
-    while any(len(rho) < min_len for rho in pairs.values()):
-        for nu, rho in sorted(pairs.items()):
-            if len(rho) < min_len:
-                del pairs[nu]
-                for a in matrix.successors(nu[-1]):
-                    pairs[nu + (a,)] = rho + (a,)
-                break
-    return sorted(pairs.items())
+    domain = sorted(g.code)
+    pending = []
+    for c in u.code:
+        for nu, i in cut(matrix, domain, c):
+            d = domain[i]
+            pending.append((nu, g.code[d] + nu[len(d):]))
+    pairs = []
+    while pending:
+        nu, rho = pending.pop()
+        if len(nu) < min_len or len(rho) < min_len:
+            succ = matrix.successors(nu[-1] if nu else 0)
+            pending.extend((nu + (a,), rho + (a,)) for a in succ)
+        else:
+            pairs.append((nu, rho))
+    return sorted(pairs)
 
 
 def swap_involution(u: ClopenSet, v: ClopenSet, gamma: TableMap) -> TableMap:
@@ -760,12 +746,3 @@ def witness_search(
         matrix, depth_bound, image_bound, lambda t: t if predicate(t) else None
     )
 
-
-def enumerate_tables(
-    matrix: TransitionMatrix,
-    depth_bound: int,
-    image_bound: int,
-) -> Iterator[TableMap]:
-    """All valid tables within the bounds, in the search order, as a
-    generator: :func:`search_tables` without a filter."""
-    return search_tables(matrix, depth_bound, image_bound)

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .constructions import _candidate_images, _run_search
 from .errors import BadInput, MatrixMismatch
-from .sft import ClopenSet, TransitionMatrix, Word
+from .sft import ClopenSet, TransitionMatrix, Word, cut
 from .tables import TableMap
 
 
@@ -537,9 +537,9 @@ def maps_onto_candidates(
     """The candidate filter of the search for a table carrying u onto v.
 
     For a domain word nu it keeps, in search order, the candidate images
-    that agree with carrying u onto v: inside u the image cylinder must
-    lie inside v, outside u it must miss v, and a cylinder that straddles
-    u is checked suffix by suffix at u's depth.
+    that agree with carrying u onto v.  The cylinder of nu is cut along
+    u's code: each piece inside u must be carried into v, and each piece
+    outside u must be carried off v.
     """
     matrix = u.matrix
     base: dict[int, list[Word]] = {}
@@ -549,27 +549,16 @@ def maps_onto_candidates(
         if cands is None:
             cands = _candidate_images(matrix, nu[-1], image_bound)
             base[nu[-1]] = cands
-        if u.contains_word(nu):
-            return [w for w in cands if v.contains_word(w)]
-        if not u.meets_word(nu):
-            return [w for w in cands if not v.meets_word(w)]
-        # the domain cylinder straddles u; constrain suffix by suffix
-        need = max(u.depth, len(nu))
-        allowed = []
-        for w in cands:
-            ok = True
-            for ext in matrix.extensions(nu, need):
-                tail = ext[len(nu):]
-                if u.contains_word(ext):
-                    if not v.contains_word(w + tail):
-                        ok = False
-                        break
-                elif v.meets_word(w + tail):
-                    ok = False
-                    break
-            if ok:
-                allowed.append(w)
-        return allowed
+        k = len(nu)
+        pieces = [(w[k:], i >= 0) for w, i in cut(matrix, u.code, nu)]
+        return [
+            w
+            for w in cands
+            if all(
+                v.contains_word(w + s) if inside else not v.meets_word(w + s)
+                for s, inside in pieces
+            )
+        ]
 
     return filtered
 

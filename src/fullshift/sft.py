@@ -247,6 +247,43 @@ def _reached(succ: Sequence[Sequence[int]], start: int) -> set[int]:
 # clopen sets
 
 
+def check_view_size(matrix: TransitionMatrix, code: Iterable[Word], depth: int, what: str) -> None:
+    """Refuse a uniform view, the extensions of a prefix code's words to
+    one depth, of more than ``CYLINDER_LIMIT`` words, before any is listed;
+    ``what`` names the viewed value in the message."""
+    # at most n ** depth words exist, so a shallow view skips the count
+    limit = CYLINDER_LIMIT
+    if matrix.n**depth > limit and matrix.count_within(code, depth, limit) is None:
+        raise BadInput(f"{what} at depth {depth} spans more than {limit} cylinders")
+
+
+def cut(matrix: TransitionMatrix, code: Sequence[Word], word: Word) -> list[tuple[Word, int]]:
+    """The cylinder of word cut along a sorted prefix code: the pieces in
+    sorted order, each with the index of the code word that is its prefix,
+    or -1 when it meets no code word.
+
+    Only the greatest code word at most a piece can be its prefix, and the
+    code words that extend a piece, if any, follow that one at once; so
+    one bisection classifies a piece, and only a piece that some code word
+    extends is split into its one-symbol extensions."""
+    succ, n = matrix._succ, len(code)
+    out: list[tuple[Word, int]] = []
+    # children go on in order and come off greatest first, so the pieces
+    # come out in reverse sorted order
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        i = bisect_right(code, w)
+        if i and w[: len(c := code[i - 1])] == c:
+            out.append((w, i - 1))
+        elif i < n and code[i][: len(w)] == w:
+            stack += [w + (a,) for a in succ[w[-1] if w else 0]]
+        else:
+            out.append((w, -1))
+    out.reverse()
+    return out
+
+
 @dataclass(frozen=True)
 class ClopenSet:
     """A clopen subset as its reduced prefix code: its maximal cylinders,
@@ -303,12 +340,7 @@ class ClopenSet:
         than ``CYLINDER_LIMIT`` words, before any word is listed."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
-        # at most n ** depth words exist, so a shallow view skips the count
-        limit, matrix = CYLINDER_LIMIT, self.matrix
-        if matrix.n**depth > limit and matrix.count_within(self.code, depth, limit) is None:
-            raise BadInput(
-                f"the clopen set at depth {depth} spans more than {CYLINDER_LIMIT} cylinders"
-            )
+        check_view_size(self.matrix, self.code, depth, "the clopen set")
 
     def count_at(self, depth: int) -> int:
         """``len(self.refine(depth))``, counted without listing the words."""
@@ -354,21 +386,11 @@ class ClopenSet:
         return canonicalize_clopen(self.matrix, out, trusted=True)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        """Each code word cut along the other set: a word inside it goes, a
-        word that misses it stays, and any other word splits into its
-        one-symbol extensions."""
+        """The pieces of each code word, cut along the other set's code,
+        that miss the other set."""
         self._same_matrix(other)
-        matrix, code, out = self.matrix, other.code, []
-        pending = list(self.code)
-        while pending:
-            w = pending.pop()
-            i = bisect_right(code, w)  # as in meets_word
-            if i and w[: len(code[i - 1])] == code[i - 1]:
-                continue
-            if i < len(code) and code[i][: len(w)] == w:
-                pending.extend(w + (a,) for a in matrix.successors(w[-1] if w else 0))
-            else:
-                out.append(w)
+        matrix, code = self.matrix, other.code
+        out = [p for w in self.code for p, i in cut(matrix, code, w) if i < 0]
         return canonicalize_clopen(matrix, out, trusted=True)
 
     def compare(self, other: "ClopenSet") -> str:

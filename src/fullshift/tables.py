@@ -48,6 +48,8 @@ from .sft import (
     TransitionMatrix,
     Word,
     canonicalize_clopen,
+    check_view_size,
+    cut,
     format_word,
     least_gap,
     parse_word,
@@ -135,16 +137,11 @@ class TableMap:
 
     def apply(self, point: EPPoint) -> EPPoint:
         """Image of an eventually periodic point; exact."""
-        k = self.depth
-        prefix = point.prefix(k)
-        code = self.code
-        image = code.get(prefix)
-        while image is None and k > 0:
-            k -= 1
-            image = code.get(prefix[:k])
+        prefix = point.prefix(self.depth)
+        image = self.word_image(prefix)
         if image is None:
             raise InadmissibleWord(f"point prefix {format_word(prefix)} is not admissible")
-        tail = point.shift(k)
+        tail = point.shift(self.depth)
         return EPPoint.from_primitive(image + tail.pre, tail.per)
 
     def word_image(self, word: Word) -> Word | None:
@@ -156,44 +153,28 @@ class TableMap:
                 return rho + word[k:]
         return None
 
-    def _split(self, word: Word) -> list[tuple[Word, Word]]:
-        """The cylinder of word cut along the domain code: pairs (s, image)
-        whose cylinders word.s partition it, each carried onto image."""
-        image = self.word_image(word)
-        if image is not None:
-            return [(EMPTY_WORD, image)]
-        matrix, code, depth = self.matrix, self.code, self.depth
-        if len(word) >= depth:
-            raise InadmissibleWord(f"word {format_word(word)} is not admissible")
-        out = []
-        stack = [(a,) for a in (matrix.successors(word[-1]) if word else matrix.symbols())]
-        while stack:
-            s = stack.pop()
-            w = word + s
-            rho = code.get(w)
-            if rho is not None:
-                out.append((s, rho))
-            elif len(w) < depth:
-                stack.extend(s + (a,) for a in matrix.successors(s[-1]))
-            else:
-                raise InadmissibleWord(f"word {format_word(w)} is not admissible")
-        return out
-
     # -- group operations ---------------------------------------------------
 
     def compose(self, inner: "TableMap") -> "TableMap":
         """self after inner, as a reduced table.
 
-        Each image cylinder of ``inner`` is cut along this table's domain
-        code only as far as it needs; the pieces form the composed code.
+        Each image cylinder of ``inner`` is cut along this table's sorted
+        domain code by :func:`cut`, which splits a cylinder only where some
+        domain word extends it; the pieces form the composed code.
         """
         if self.matrix != inner.matrix:
             raise MatrixMismatch("cannot compose tables over different matrices")
+        matrix, outer = self.matrix, self.code
+        domain = sorted(outer)
         code: dict[Word, Word] = {}
         for nu, rho in inner.code.items():
-            for s, image in self._split(rho):
-                code[nu + s] = image
-        return TableMap(self.matrix, max(map(len, code)), code).reduce()
+            k = len(rho)
+            for w, i in cut(matrix, domain, rho):
+                if i < 0:
+                    raise InadmissibleWord(f"word {format_word(w)} is not admissible")
+                d = domain[i]
+                code[nu + w[k:]] = outer[d] + w[len(d):]
+        return TableMap(matrix, max(map(len, code)), code).reduce()
 
     def inverse(self) -> "TableMap":
         """The inverse table: the code reversed.  Its depth is the longest
@@ -327,6 +308,7 @@ class TableMap:
 
     def cocycles(self) -> "CocycleTable":
         depth = self.depth
+        check_view_size(self.matrix, self.code, depth, "the table")
         return CocycleTable(depth, {w: (len(image), depth) for w, image in self._uniform_view()})
 
     def in_local_subgroup(self, region: ClopenSet) -> bool:
@@ -365,7 +347,9 @@ class TableMap:
 
     def split_invariant(self, region: ClopenSet) -> tuple["TableMap", "TableMap"]:
         """Factor over an invariant clopen set: a piece supported inside it
-        times a piece supported in its complement."""
+        times a piece supported in its complement.  Each domain word is cut
+        along the region's code; a piece inside the region moves in the
+        first factor, and any other piece in the second."""
         if self.matrix != region.matrix:
             raise MatrixMismatch("region lives over a different matrix")
         if self.image_clopen(region) != region:
@@ -373,18 +357,11 @@ class TableMap:
         matrix = self.matrix
         inside: dict[Word, Word] = {}
         outside: dict[Word, Word] = {}
-        stack = list(self.code.items())
-        while stack:
-            nu, rho = stack.pop()
-            if region.contains_word(nu):
-                inside[nu] = rho
-                outside[nu] = nu
-            elif not region.meets_word(nu):
-                inside[nu] = nu
-                outside[nu] = rho
-            else:
-                succ = matrix.successors(nu[-1]) if nu else matrix.symbols()
-                stack.extend((nu + (a,), rho + (a,)) for a in succ)
+        for nu, rho in self.code.items():
+            k = len(nu)
+            for w, i in cut(matrix, region.code, nu):
+                image = rho + w[k:]
+                inside[w], outside[w] = (image, w) if i >= 0 else (w, image)
         part_in = TableMap(matrix, max(map(len, inside)), inside).reduce()
         part_out = TableMap(matrix, max(map(len, outside)), outside).reduce()
         return part_in, part_out
@@ -473,10 +450,11 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
 
 def format_table_text(table: TableMap) -> str:
     """The uniform view as text: ``L depth`` then one line per entry, in
-    sorted order, streamed from the code.  Each code word and its image
-    are formatted once; each extension adds the text of its suffix, which
-    the domain and the image share."""
+    sorted order, streamed from the code once its size is checked.  Each
+    code word and its image are formatted once; each extension adds the
+    text of its suffix, which the domain and the image share."""
     depth = table.depth
+    check_view_size(table.matrix, table.code, depth, "the table")
     lines = [f"L {depth}"]
     extensions = table.matrix.extensions
     for nu, rho in sorted(table.code.items()):

@@ -335,6 +335,72 @@ def moved_cylinder_oracle(table: TableMap, cap: int = 64):
     return None
 
 
+def matched_partition_oracle(gamma: TableMap, u: ClopenSet, min_len: int = 2):
+    """The former library walk for ``constructions.matched_partition``: down
+    from the root, a word inside u is taken once it has length >= min_len
+    and the reduced code of gamma rewrites it onto an image of length >=
+    min_len, and in any case at depth max(gamma.depth, u.depth, min_len);
+    pairs whose image is still shorter than min_len are then split into
+    their children, one at a time."""
+    matrix = gamma.matrix
+    g = gamma.reduce()
+    depth = max(gamma.depth, u.depth, min_len)
+    pairs = {}
+    stack = [()]
+    while stack:
+        nu = stack.pop()
+        if not u.meets_word(nu):
+            continue
+        if len(nu) >= min_len:
+            rho = g.word_image(nu)
+            if len(nu) == depth or (
+                rho is not None and len(rho) >= min_len and u.contains_word(nu)
+            ):
+                pairs[nu] = rho
+                continue
+        stack.extend(nu + (a,) for a in (matrix.successors(nu[-1]) if nu else matrix.symbols()))
+    while any(len(rho) < min_len for rho in pairs.values()):
+        for nu, rho in sorted(pairs.items()):
+            if len(rho) < min_len:
+                del pairs[nu]
+                for a in matrix.successors(nu[-1]):
+                    pairs[nu + (a,)] = rho + (a,)
+                break
+    return sorted(pairs.items())
+
+
+def maps_onto_filter_oracle(u: ClopenSet, v: ClopenSet, image_bound: int):
+    """The former library candidate filter of the maps-onto search, which
+    pads: a domain cylinder that straddles u is checked extension by
+    extension at u's depth.  Candidates by (length, word), as documented."""
+    matrix = u.matrix
+
+    def filtered(nu):
+        row = matrix.row(nu[-1])
+        cands = [w for k in range(1, image_bound + 1) for w in matrix.words(k)
+                 if matrix.row(w[-1]) == row]
+        if u.contains_word(nu):
+            return [w for w in cands if v.contains_word(w)]
+        if not u.meets_word(nu):
+            return [w for w in cands if not v.meets_word(w)]
+        allowed = []
+        for w in cands:
+            ok = True
+            for ext in matrix.extensions(nu, max(u.depth, len(nu))):
+                tail = ext[len(nu):]
+                if u.contains_word(ext):
+                    ok = v.contains_word(w + tail)
+                else:
+                    ok = not v.meets_word(w + tail)
+                if not ok:
+                    break
+            if ok:
+                allowed.append(w)
+        return allowed
+
+    return filtered
+
+
 def completion_points(matrix: TransitionMatrix, word):
     """A couple of concrete points extending a word, one per next symbol."""
     out = []

@@ -167,6 +167,22 @@ def test_construct_free_pair(files, tmp_path, capsys):
     assert "ORDER: 3" in out
 
 
+def test_construct_free_pair_refuses_a_huge_table_file_at_once(files, tmp_path, capsys):
+    # psi and phi have 37 and 43 code words, but their L files would have
+    # 3^18 and 10,460,353,203 lines
+    region = tmp_path / "deep.clo"
+    region.write_text("D 14\n1,2," + ",".join(["3"] * 12) + "\n")
+    stem = str(tmp_path / "fp")
+    start = time.perf_counter()
+    assert run(["construct", "2.4", files["full3.mat"], "--O", str(region), "-o", stem]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert (
+        f"ERROR: BadInput: the table at depth 18 spans more than {CYLINDER_LIMIT} cylinders"
+        in capsys.readouterr().out.splitlines()
+    )
+    assert not list(tmp_path.glob("fp*"))
+
+
 def test_clopen_ops_and_roundtrip(files, tmp_path, capsys):
     out_path = str(tmp_path / "c.clo")
     assert run(["clopen", files["full2.mat"], "complement", files["u1.clo"], "-o", out_path]) == 0

@@ -29,10 +29,10 @@ from fullshift.constructions import (
     clopen_transport,
     cylinder_involution,
     cylinder_swap,
-    enumerate_tables,
     free_pair,
     involution_into,
     localize_conjugate,
+    matched_partition,
     minimality_witness,
     paired_transport,
     search_tables,
@@ -54,10 +54,12 @@ from helpers import (
     RING3,
     SMALL_POOL,
     long_cycle,
+    matched_partition_oracle,
     moved_cylinder_oracle,
     proper_subcylinder_oracle,
     random_clopen,
     random_matrix,
+    random_table,
     search_order_oracle,
 )
 
@@ -179,11 +181,11 @@ def test_disjoint_corners_branch_far_below_the_target():
 
 def test_moved_cylinder_matches_oracle():
     rng = random.Random(47)
-    tables = [t for m in (FULL2, GOLDEN, GOLDEN_REV) for t in enumerate_tables(m, 2, 3)]
+    tables = [t for m in (FULL2, GOLDEN, GOLDEN_REV) for t in search_tables(m, 2, 3)]
     tables += [t.inverse() for t in tables]
     for _ in range(20):
         matrix = random_matrix(rng, rng.randint(2, 5))
-        tables += list(enumerate_tables(matrix, 1, 2))
+        tables += list(search_tables(matrix, 1, 2))
     for t in tables:
         if not t.reduce().is_identity:
             assert _disjoint_moved_cylinder(t) == moved_cylinder_oracle(t)
@@ -278,12 +280,12 @@ def test_witness_search_order_three_in_cylinder():
 
 
 def test_enumerate_tables_all_valid():
-    tables = list(enumerate_tables(GOLDEN, 2, 3))
+    tables = list(search_tables(GOLDEN, 2, 3))
     assert len(tables) > 1
     for t in tables:
         validate_table(t.matrix, t.entries)
     # deterministic order
-    again = list(enumerate_tables(GOLDEN, 2, 3))
+    again = list(search_tables(GOLDEN, 2, 3))
     assert tables == again
 
 
@@ -333,3 +335,20 @@ def test_split_invariant_randomized():
         gamma = inner.compose(outer)
         part_in, part_out = gamma.split_invariant(region)
         assert_all(check_split_invariant(gamma, region, part_in, part_out))
+
+
+def test_matched_partition_matches_walk_oracle():
+    # the pairs fix the swap-involution and paired-transport witnesses; the
+    # cut along gamma's domain gives the pairs the former root walk found
+    rng = random.Random(12)
+    for _ in range(300):
+        matrix = rng.choice(POOL)
+        u = random_clopen(rng, matrix, max_depth=rng.choice([1, 2, 4]))
+        gamma = random_table(rng, matrix)
+        for min_len in (0, 1, 2, 3):
+            want = matched_partition_oracle(gamma, u, min_len)
+            assert matched_partition(gamma, u, min_len) == want, (matrix, u, gamma, min_len)
+    full = full_space(FULL2)
+    identity = TableMap.identity(FULL2)
+    assert matched_partition(identity, full, 0) == [((), ())]
+    assert matched_partition(identity, full) == matched_partition_oracle(identity, full)

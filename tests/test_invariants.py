@@ -1,6 +1,7 @@
 """Cokernel invariants: Smith form, pointed groups, equivalence decisions."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -37,6 +38,7 @@ from helpers import (
     group_element_orders,
     hom_count,
     invariant_factor_lists,
+    maps_onto_filter_oracle,
     out_split,
     pointed_match_oracle,
     primary_orbit_oracle,
@@ -475,6 +477,39 @@ def test_gamma_equivalent_witness_matches_search_oracle():
         else:
             assert want is None
     assert seen == {"equivalent", "not_equivalent", "undecided"}
+
+
+def test_maps_onto_filter_matches_padded_oracle():
+    # each piece of the domain cylinder, cut along u's code, is tested once;
+    # the former filter tested every extension at u's depth
+    rng = random.Random(23)
+    straddled = 0
+    for _ in range(150):
+        matrix = rng.choice(POOL)
+        u = random_clopen(rng, matrix, max_depth=rng.choice([1, 3, 5]))
+        v = random_clopen(rng, matrix, max_depth=rng.choice([1, 3, 5]))
+        image = rng.choice([2, 3])
+        got = maps_onto_candidates(u, v, image)
+        want = maps_onto_filter_oracle(u, v, image)
+        for depth in (1, 2, 3):
+            for nu in matrix.words(depth):
+                assert got(nu) == want(nu), (matrix, u, v, nu)
+                straddled += u.meets_word(nu) and not u.contains_word(nu)
+    assert straddled > 100
+
+
+def test_gamma_equivalent_deep_cylinders_within_budget():
+    # the swap of [1] and [2] carries [1^24] onto [2 1^23]; the filter cuts
+    # the depth-1 domain cylinders into 24 pieces, where padding to u's
+    # depth listed 2^23 extensions of each
+    k = 24
+    u = cylinder(FULL2, (1,) * k)
+    v = cylinder(FULL2, (2,) + (1,) * (k - 1))
+    start = time.perf_counter()
+    result = gamma_equivalent(u, v)
+    assert time.perf_counter() - start < 2.0
+    assert result.status == "equivalent"
+    assert result.witness.image_clopen(u) == v
 
 
 def test_basis_class_equals_row_class():

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from fullshift import FullShiftError, canonicalize_clopen
 from fullshift.cli import run
-from fullshift.constructions import enumerate_tables
+from fullshift.constructions import search_tables
 from fullshift.errors import ImagesDontCover
 from fullshift.sft import (
+    cut,
     empty_set,
     format_clopen_text,
     format_matrix_text,
@@ -35,6 +36,7 @@ from helpers import (
     enumerate_points,
     images_cover_oracle,
     maps_agree_oracle,
+    random_clopen,
     random_matrix,
     random_table,
     table_text_oracle,
@@ -48,7 +50,7 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=3
 
 SEEDS = st.integers(0, 2**32 - 1)
 
-TABLES = [t for m in (FULL2, GOLDEN) for t in enumerate_tables(m, 2, 3)]
+TABLES = [t for m in (FULL2, GOLDEN) for t in search_tables(m, 2, 3)]
 
 
 @st.composite
@@ -120,6 +122,50 @@ def test_clopen_relations_agree_with_common_depth_oracle(pair):
         assert uniform_form(x.union(y)) == expected["union"]
         assert uniform_form(x.intersection(y)) == expected["intersection"]
         assert uniform_form(x.difference(y)) == expected["difference"]
+
+
+@st.composite
+def cut_cases(draw):
+    """A sorted prefix code (a clopen set's code or a table's domain) and
+    an admissible word of length 0-5 to cut along it."""
+    matrix = draw(st.sampled_from(POOL))
+    rng = random.Random(draw(SEEDS))
+    if draw(st.booleans()):
+        code = random_clopen(rng, matrix, max_depth=4).code
+    else:
+        code = tuple(sorted(random_table(rng, matrix).code))
+    word = ()
+    for _ in range(draw(st.integers(0, 5))):
+        word += (draw(st.sampled_from(matrix.successors(word[-1] if word else 0))),)
+    return matrix, code, word
+
+
+@SEEDED
+@given(cut_cases())
+def test_cut_pieces_partition_the_cylinder_and_are_maximal(case):
+    matrix, code, word = case
+    pieces = cut(matrix, code, word)
+
+    def prefix(a, b):
+        return b[: len(a)] == a
+
+    words = [w for w, _ in pieces]
+    # sorted and prefix-free: in sorted order a prefix would come right before
+    assert all(a < b and not prefix(a, b) for a, b in zip(words, words[1:]))
+    depth = max(map(len, [word, *code, *words]))
+    view = [x for w in words for x in matrix.extensions(w, depth)]
+    assert view == list(matrix.extensions(word, depth))
+    for w, i in pieces:
+        holders = [j for j, c in enumerate(code) if prefix(c, w)]
+        if i >= 0:
+            assert holders == [i]
+        else:
+            assert not holders and not any(prefix(w, c) for c in code)
+        if w != word:
+            # a piece is cut from its parent only when the parent straddles
+            parent = w[:-1]
+            assert not any(prefix(c, parent) for c in code)
+            assert any(prefix(parent, c) for c in code)
 
 
 @SEEDED

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from fullshift import (
+    BadInput,
     EPPoint,
     MatrixMismatch,
     NotInvariant,
@@ -19,7 +20,7 @@ from fullshift import (
 )
 from fullshift.constructions import cylinder_swap, involution_into
 from fullshift.errors import BadDomain, ImagesDontCover, ImagesOverlap
-from fullshift.sft import point_in
+from fullshift.sft import CYLINDER_LIMIT, point_in
 from fullshift.tables import format_table_text, parse_table_text
 
 from helpers import (
@@ -235,6 +236,21 @@ def test_image_clopen_under_a_deep_swap():
     assert time.perf_counter() - start < 1.0
 
 
+def test_uniform_view_writers_refuse_a_huge_view_at_once():
+    # 2^40 entries at depth 41: the count stops past the limit, no line is built
+    swap = cylinder_swap(FULL2, (1,), (2,) * 41)
+    message = f"the table at depth 41 spans more than {CYLINDER_LIMIT} cylinders"
+    start = time.perf_counter()
+    with pytest.raises(BadInput, match=message):
+        format_table_text(swap)
+    with pytest.raises(BadInput, match=message):
+        swap.cocycles()
+    assert time.perf_counter() - start < 1.0
+    # below the limit the view is still listed
+    small = cylinder_swap(FULL2, (1,), (2,) * 15)
+    assert len(small.cocycles().values) == small.entry_count() == 2**15
+
+
 def test_split_invariant_cases():
     region = cylinder(FULL2, (1,))
     ident = TableMap.identity(FULL2)
@@ -319,10 +335,10 @@ def test_reduce_stops_at_structurally_unmergeable_families():
 def test_reduce_exhaustive_on_small_tables():
     # reduction must preserve the map and stay valid, for every valid
     # table within small bounds
-    from fullshift.constructions import enumerate_tables
+    from fullshift.constructions import search_tables
 
     for matrix in (FULL2, GOLDEN):
-        for t in enumerate_tables(matrix, 2, 2):
+        for t in search_tables(matrix, 2, 2):
             r = t.reduce()
             validate_table(matrix, r.entries)
             assert r.reduce() == r
@@ -344,11 +360,11 @@ def _assert_matches_oracle(table, depth, entries):
 
 
 def test_sparse_arithmetic_matches_uniform_oracle_on_enumerated_tables():
-    from fullshift.constructions import enumerate_tables
+    from fullshift.constructions import search_tables
 
     rng = random.Random(31)
     for matrix in (FULL2, GOLDEN):
-        tables = list(enumerate_tables(matrix, 2, 3))
+        tables = list(search_tables(matrix, 2, 3))
         for t in tables:
             _assert_matches_oracle(
                 t.reduce(), *uniform_reduce_oracle(matrix, t.depth, dict(t.entries))
