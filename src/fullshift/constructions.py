@@ -57,28 +57,16 @@ def _incomparable(a: Word, b: Word) -> bool:
     return a[:k] != b[:k]
 
 
-def _cylinder_table(matrix: TransitionMatrix, moves: dict[Word, Word]) -> TableMap:
-    """The table carrying each cylinder in `moves` onto the cylinder of its
-    image and fixing the rest.  Its code is the moved words plus the pieces
-    of the whole space, cut along the moved words, that miss them all."""
-    code = dict(moves)
-    code.update((w, w) for w, i in cut(matrix, sorted(moves), EMPTY_WORD) if i < 0)
-    validate_images(matrix, code)
-    return TableMap(matrix, max(map(len, moves)), code)
-
-
 def cylinder_swap(matrix: TransitionMatrix, a: Word, b: Word) -> TableMap:
     """The involution exchanging two disjoint cylinders with row-equal ends."""
-    if not _incomparable(a, b):
-        raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
-    if matrix.row(a[-1]) != matrix.row(b[-1]):
-        raise BadInput("cylinder ends have different follower rows")
-    return _cylinder_table(matrix, {a: b, b: a})
+    return cylinder_cycle(matrix, [a, b])
 
 
 def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
     """The permutation cycling a list of pairwise disjoint cylinders whose
-    ending symbols all share one follower row."""
+    ending symbols all share one follower row.  Its code is the cycled
+    words plus the pieces of the whole space, cut along them, that miss
+    them all."""
     if len(words) < 2:
         raise BadInput("need at least two cylinders to cycle")
     for i, a in enumerate(words):
@@ -87,9 +75,10 @@ def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
                 raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
         if matrix.row(a[-1]) != matrix.row(words[0][-1]):
             raise BadInput("cylinder ends have different follower rows")
-    return _cylinder_table(
-        matrix, {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
-    )
+    code = {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
+    code.update((w, w) for w, k in cut(matrix, sorted(words), EMPTY_WORD) if k < 0)
+    validate_images(matrix, code)
+    return TableMap(matrix, max(map(len, words)), code)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +249,17 @@ def check_cylinder_involution(
 def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
     """The `count` least cylinders of the nonempty target at the shallowest
     depth >= max(target.depth, 1) that has that many; they are pairwise
-    disjoint.  Under condition (I) every word has two extensions within n
+    disjoint.  Each depth's cylinders are counted only until they pass
+    count - 1.  Under condition (I) every word has two extensions within n
     more symbols, so the count doubles every n levels and the search stops
     at depth max(target.depth, 1) + n * count."""
     start = max(target.depth, 1)
-    bound = start + target.matrix.n * count
+    matrix = target.matrix
+    bound = start + matrix.n * count
     for depth in range(start, bound + 1):
-        if target.count_at(depth) >= count:
+        if matrix.count_within(target.code, depth, count - 1) is None:
             words = islice(target.view(depth), count)
-            return [cylinder(target.matrix, w) for w in words]
+            return [cylinder(matrix, w) for w in words]
     raise SearchLimitExceeded(
         f"target has fewer than {count} cylinders at depth {bound}; condition (I) violated?"
     )

@@ -9,6 +9,8 @@ subset of the shift space if and only if they compare equal.  A clopen
 set stores only its maximal cylinders, as ``TableMap`` stores only its
 prefix code, so a deep cylinder costs one word; the set's words of one
 common depth are computed when read, and only the text formats read them.
+Both codes are reduced by one sweep, :func:`merge_siblings`: a clopen set
+is a table whose every word is fixed.
 """
 
 from __future__ import annotations
@@ -257,6 +259,15 @@ def check_view_size(matrix: TransitionMatrix, code: Iterable[Word], depth: int, 
         raise BadInput(f"{what} at depth {depth} spans more than {limit} cylinders")
 
 
+def view_size(matrix: TransitionMatrix, code: Iterable[Word], depth: int) -> int:
+    """The number of words in the uniform view of a prefix code at depth,
+    counted without listing them."""
+    return sum(
+        matrix.continuation_count(w[-1], depth - len(w)) if w else matrix.word_count(depth)
+        for w in code
+    )
+
+
 def cut(matrix: TransitionMatrix, code: Sequence[Word], word: Word) -> list[tuple[Word, int]]:
     """The cylinder of word cut along a sorted prefix code: the pieces in
     sorted order, each with the index of the code word that is its prefix,
@@ -333,7 +344,9 @@ class ClopenSet:
         return frozenset(self.view(depth))
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
+        """The uniform view at ``depth`` as a list, in sorted order."""
+        self._check_view(self.depth)
+        return list(self.view(self.depth))
 
     def _check_view(self, depth: int) -> None:
         """Refuse a depth below ``depth``, or one at which the set has more
@@ -346,11 +359,7 @@ class ClopenSet:
         """``len(self.refine(depth))``, counted without listing the words."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
-        matrix = self.matrix
-        return sum(
-            matrix.continuation_count(w[-1], depth - len(w)) if w else matrix.word_count(depth)
-            for w in self.code
-        )
+        return view_size(self.matrix, self.code, depth)
 
     def contains_point(self, point: "EPPoint") -> bool:
         return self.contains_word(point.prefix(self.depth))
@@ -420,17 +429,11 @@ def canonicalize_clopen(
     raw: Iterable[Sequence[int]],
     trusted: bool = False,
 ) -> ClopenSet:
-    """The reduced prefix code of a union of cylinders given by any words.
+    """The reduced prefix code of a union of cylinders given by any words:
+    :func:`merge_siblings` with every word fixed.
 
     With ``trusted`` the words must already be admissible tuples of ints,
     and are taken as they are; otherwise each is converted and checked.
-
-    One sweep over the sorted words keeps the code so far on a stack.  A
-    word inside an earlier one (or equal to it) lies inside the top, since
-    every word sorted between a word and its extension extends it too, and
-    is dropped.  Any other word is pushed with its run: itself and the
-    siblings right below it, as siblings sort together.  A run that is a
-    whole family ending in its last child is replaced by the parent.
     """
     if trusted:
         words = sorted(raw)
@@ -442,6 +445,27 @@ def canonicalize_clopen(
                 raise InadmissibleWord(f"word {t} is not admissible")
             checked.add(t)
         words = sorted(checked)
+    return ClopenSet(matrix, tuple(merge_siblings(matrix, words, {})))
+
+
+def merge_siblings(
+    matrix: TransitionMatrix, words: list[Word], moved: dict[Word, Word]
+) -> list[Word]:
+    """The reduced prefix code of sorted words, each mapped to its image in
+    ``moved`` or else fixed: the one normal form of clopen sets (every word
+    fixed) and of tables (the tree-pair normal form of Cannon-Floyd-Parry).
+
+    One sweep keeps the code so far on a stack.  A word inside an earlier
+    one (or equal to it) lies inside the top, since every word sorted
+    between a word and its extension extends it too, and is dropped.  Any
+    other word is pushed with its run: itself and the siblings right below
+    it, as siblings sort together.  A run that is a whole family ending in
+    its last child is replaced by the parent when the children's images are
+    one parent image followed by each child's last symbol, and that image
+    is nonempty and ends in a symbol with the parent's follower row (unless
+    the parent is empty: then the images cover the space); the parent's
+    image then goes into ``moved``.
+    """
     after = matrix.followers_after()
     stack: list[Word] = []
     runs: list[int] = []  # runs[i]: stack[i] and its siblings right below it
@@ -456,11 +480,19 @@ def canonicalize_clopen(
             up = after[parent[-1] if parent else 0]
             if up[w[-1]] or run < len(up) - 1:
                 break  # not the last child, or a sibling is missing
+            if moved:  # else every word is fixed, and every family merges
+                image = moved.get(w, w)[:-1]
+                family = stack[len(stack) + 1 - run :] + [w]
+                if any(moved.get(c, c) != image + c[-1:] for c in family):
+                    break
+                if parent and (not image or matrix.row(image[-1]) != matrix.row(parent[-1])):
+                    break
+                moved[parent] = image
             del stack[len(stack) + 1 - run :], runs[len(runs) + 1 - run :]
             w = parent
         stack.append(w)
         runs.append(run)
-    return ClopenSet(matrix, tuple(stack))
+    return stack
 
 
 def cylinder(matrix: TransitionMatrix, word: Sequence[int]) -> ClopenSet:

@@ -20,7 +20,9 @@ from it, in sorted order, each time it is read, and never kept.
 Group structure is exact.  Composition and inversion work on the codes,
 and reduction merges complete sibling families bottom-up into the unique
 reduced code of the homeomorphism (the tree-pair-diagram normal form of
-Thompson's group V, in the Cannon-Floyd-Parry sense).  Its longest domain
+Thompson's group V, in the Cannon-Floyd-Parry sense).  The sweep is
+:func:`merge_siblings`, the one that reduces clopen sets: a clopen set is
+the case where every word is fixed.  The reduced code's longest domain
 word is the minimal depth of any table for the map, so two tables denote
 the same homeomorphism exactly when their reduced codes are equal.
 """
@@ -52,7 +54,9 @@ from .sft import (
     cut,
     format_word,
     least_gap,
+    merge_siblings,
     parse_word,
+    view_size,
 )
 
 
@@ -107,11 +111,7 @@ class TableMap:
 
     def entry_count(self) -> int:
         """``len(self.entries)``, counted without building the view."""
-        matrix, depth = self.matrix, self.depth
-        return sum(
-            matrix.continuation_count(nu[-1], depth - len(nu)) if nu else matrix.word_count(depth)
-            for nu in self.code
-        )
+        return view_size(self.matrix, self.code, self.depth)
 
     def __eq__(self, other):
         return (
@@ -185,55 +185,21 @@ class TableMap:
 
     def reduce(self) -> "TableMap":
         """The reduced code: the unique minimal-depth table denoting the same
-        homeomorphism.  Computed once per table."""
+        homeomorphism.  :func:`merge_siblings` sweeps the sorted domain with
+        the moved words' images, as it sweeps a clopen set's words with
+        every word fixed.  Computed once per table."""
         if self._reduced is None:
-            self._reduced = self._merge_families()
-            self._reduced._reduced = self._reduced
+            domain = sorted(self.code)
+            moved = {nu: rho for nu, rho in self.code.items() if rho != nu}
+            words = merge_siblings(self.matrix, domain, moved)
+            depth = max(map(len, words))
+            if words == domain and depth == self.depth:
+                self._reduced = self
+            else:
+                code = {w: moved.get(w, w) for w in words}
+                self._reduced = TableMap(self.matrix, depth, code)
+                self._reduced._reduced = self._reduced
         return self._reduced
-
-    def _merge_families(self) -> "TableMap":
-        """Merge complete sibling families until none is left.
-
-        A family merges into its parent when every child word's image ends
-        in the child's last symbol, the images share one parent image, and
-        that image ends in a symbol with the parent's follower row; the
-        empty word is reached only by the identity.  Merges commute, so
-        the order does not matter: the result is the reduced code.
-        """
-        matrix, code = self.matrix, self.code
-        # parent -> its child words whose image ends in the child's last symbol
-        families: dict[Word, list[Word]] = {}
-        for nu, rho in code.items():
-            if nu and rho and rho[-1] == nu[-1]:
-                families.setdefault(nu[:-1], []).append(nu)
-        ready = [p for p, kids in families.items() if len(kids) == _arity(matrix, p)]
-        merged = False
-        while ready:
-            parent = ready.pop()
-            kids = families[parent]
-            image = code[kids[0]][:-1]
-            if any(code[nu][:-1] != image for nu in kids[1:]):
-                continue
-            if parent:
-                if not image or matrix.row(image[-1]) != matrix.row(parent[-1]):
-                    continue
-            elif image:
-                continue
-            if not merged:
-                code = dict(code)
-                merged = True
-            for nu in kids:
-                del code[nu]
-            code[parent] = image
-            if parent and image[-1] == parent[-1]:
-                siblings = families.setdefault(parent[:-1], [])
-                siblings.append(parent)
-                if len(siblings) == _arity(matrix, parent[:-1]):
-                    ready.append(parent[:-1])
-        depth = max(map(len, code))
-        if not merged and depth == self.depth:
-            return self
-        return TableMap(matrix, depth, code)
 
     def same_map(self, other: "TableMap") -> bool:
         return self.reduce().code == other.reduce().code
@@ -365,11 +331,6 @@ class TableMap:
         part_in = TableMap(matrix, max(map(len, inside)), inside).reduce()
         part_out = TableMap(matrix, max(map(len, outside)), outside).reduce()
         return part_in, part_out
-
-
-def _arity(matrix: TransitionMatrix, word: Word) -> int:
-    """Number of one-symbol extensions of word."""
-    return len(matrix.successors(word[-1])) if word else matrix.n
 
 
 @dataclass(frozen=True)

@@ -527,6 +527,47 @@ def uniform_reduce_oracle(matrix: TransitionMatrix, depth: int, entries: dict):
     return depth, entries
 
 
+def merge_families_oracle(matrix: TransitionMatrix, code: dict) -> dict:
+    """The reduced code by a worklist of complete sibling families.
+
+    A family merges into its parent when every child word's image ends in
+    the child's last symbol, the images share one parent image, and that
+    image ends in a symbol with the parent's follower row; the empty word
+    is reached only by the identity.  Merges commute, so the order does
+    not matter."""
+
+    def arity(word):
+        return len(matrix.successors(word[-1])) if word else matrix.n
+
+    code = dict(code)
+    # parent -> its child words whose image ends in the child's last symbol
+    families: dict = {}
+    for nu, rho in code.items():
+        if nu and rho and rho[-1] == nu[-1]:
+            families.setdefault(nu[:-1], []).append(nu)
+    ready = [p for p, kids in families.items() if len(kids) == arity(p)]
+    while ready:
+        parent = ready.pop()
+        kids = families[parent]
+        image = code[kids[0]][:-1]
+        if any(code[nu][:-1] != image for nu in kids[1:]):
+            continue
+        if parent:
+            if not image or matrix.row(image[-1]) != matrix.row(parent[-1]):
+                continue
+        elif image:
+            continue
+        for nu in kids:
+            del code[nu]
+        code[parent] = image
+        if parent and image[-1] == parent[-1]:
+            siblings = families.setdefault(parent[:-1], [])
+            siblings.append(parent)
+            if len(siblings) == arity(parent[:-1]):
+                ready.append(parent[:-1])
+    return code
+
+
 def _uniform_refine(matrix: TransitionMatrix, pairs, depth: int) -> dict:
     out = {}
     for nu, rho in pairs:

@@ -10,6 +10,7 @@ import fullshift.constructions as cons
 import fullshift.invariants as inv
 import fullshift.sft as sft
 from fullshift.sft import cylinder
+from fullshift.tables import TableMap
 
 from helpers import FULL2, GOLDEN, cylinder_swap
 
@@ -67,3 +68,17 @@ def test_tracer_counts_clopen_canonicalization():
         assert sft.canonicalize_clopen(FULL2, (w for w in [(1,), (2,)])).is_full
     assert tracer.totals()["sft.canonicalize_clopen"][0] > 0
     assert tracer.counters["sft.canonicalize_clopen.words_in"] > 0
+
+
+def test_tracer_spans_table_reduction_apart_from_clopen_canonicalization():
+    # reduce sweeps its code with the same function canonicalize_clopen
+    # calls, but opens only its own span: tables.reduce.* times table
+    # reduction and sft.canonicalize_clopen.* counts clopen sets alone
+    split = TableMap(FULL2, 2, {(1, 1): (1, 1), (1, 2): (1, 2), (2,): (2,)})
+    with traced() as tracer:
+        assert cylinder(FULL2, (1,)).union(cylinder(FULL2, (2,))).is_full
+        before = tracer.totals()["sft.canonicalize_clopen"][0]
+        assert split.reduce().is_identity
+        totals = tracer.totals()
+    assert totals["tables.reduce"][0] == 1
+    assert totals["sft.canonicalize_clopen"][0] == before

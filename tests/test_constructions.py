@@ -2,6 +2,7 @@
 conditions of the statement it realizes."""
 
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from fullshift import (
     TableMap,
     cylinder,
     full_space,
+    validate_matrix,
 )
 from fullshift.constructions import (
     _disjoint_corners,
@@ -177,6 +179,23 @@ def test_disjoint_corners_branch_far_below_the_target():
     track = tuple(range(3, 81)) + (1,)
     assert [c.sorted_words() for c in corners] == [[track + (1,)], [track + (2,)]]
     assert corners[0] == proper_subcylinder_oracle(cylinder(matrix, (3,)))
+
+
+def test_disjoint_corners_of_a_deep_target_count_only_what_they_need():
+    # the corners ask only whether a depth has `count` cylinders, so a deep
+    # target costs no per-length count table (19,999 rows of growing
+    # integers, 56 MB, when counted exactly)
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    deep = cylinder(matrix, (1, 1)).union(cylinder(matrix, (2,) * 20_000))
+    rows = len(matrix._cont)
+    start = time.perf_counter()
+    corners = _disjoint_corners(deep, 3)
+    assert time.perf_counter() - start < 0.5
+    assert len(matrix._cont) == rows
+    ones = (1,) * 19_998
+    assert [c.code for c in corners] == [
+        (ones + (1, 1),), (ones + (1, 2),), (ones + (2, 1),)
+    ]
 
 
 def test_moved_cylinder_matches_oracle():

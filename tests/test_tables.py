@@ -36,6 +36,7 @@ from helpers import (
     completion_points,
     enumerate_points,
     maps_agree_oracle,
+    merge_families_oracle,
     random_clopen,
     random_table,
     uniform_compose_oracle,
@@ -343,6 +344,37 @@ def test_reduce_exhaustive_on_small_tables():
             validate_table(matrix, r.entries)
             assert r.reduce() == r
             assert maps_agree_oracle(t, r)
+
+
+def test_reduce_merges_one_child_families():
+    # symbol 1 has one follower on RING3, so 12 -> 12 merges into 1 -> 1
+    # and the code keeps its size
+    table = TableMap(RING3, 2, {(1, 2): (1, 2), (2,): (3, 2), (3, 1): (3, 1), (3, 2): (2,)})
+    reduced = {(1,): (1,), (2,): (3, 2), (3, 1): (3, 1), (3, 2): (2,)}
+    assert table.reduce().code == reduced == merge_families_oracle(RING3, table.code)
+    assert table.reduce().depth == 2
+
+
+def test_reduce_undoes_random_splits_exactly():
+    # splitting code words into their children, each image extended by the
+    # same symbol, leaves the map alone, so reduction must undo every split,
+    # including a merge left above the deepest word
+    rng = random.Random(71)
+    for matrix in POOL + [FULL3]:
+        for _ in range(25):
+            table = random_table(rng, matrix).reduce()
+            code = dict(table.code)
+            for _ in range(rng.randint(1, 6)):
+                nu = rng.choice(sorted(code))
+                rho = code.pop(nu)
+                for a in matrix.successors(nu[-1] if nu else 0):
+                    code[nu + (a,)] = rho + (a,)
+            items = list(code.items())
+            rng.shuffle(items)
+            split = TableMap(matrix, max(map(len, code)), dict(items))
+            assert split.reduce().code == table.code, (matrix, code)
+            assert split.reduce().depth == table.depth
+            assert merge_families_oracle(matrix, dict(items)) == table.code
 
 
 def _assert_matches_oracle(table, depth, entries):
