@@ -389,16 +389,14 @@ def check_paired_transport(
 def minimality_source(u: ClopenSet, v: ClopenSet) -> ClopenSet:
     """The effective source set the minimality witness acts on.
 
-    When the source already sits inside the target nothing needs moving;
-    when they overlap otherwise, the first cylinder of the difference is
-    moved instead, which still exhibits a point of the target's side.
+    When the source already sits inside the target nothing needs moving,
+    and a source disjoint from it is moved whole; when they overlap
+    otherwise, the first cylinder of the difference is moved instead, which
+    still exhibits a point of the target's side.
     """
-    rel = u.compare(v)
-    if rel in ("equal", "subset"):
-        return u
-    if rel == "disjoint":
-        return u
     rest = u.difference(v)
+    if rest.is_empty or rest == u:
+        return u
     return cylinder(u.matrix, next(rest.view(rest.depth)))
 
 
@@ -406,8 +404,7 @@ def minimality_witness(u: ClopenSet, v: ClopenSet) -> TableMap:
     """A group element carrying the effective source into the target set."""
     if u.is_empty or v.is_empty:
         raise EmptyInput("both clopen sets must be nonempty")
-    rel = u.compare(v)
-    if rel in ("equal", "subset"):
+    if u.is_subset_of(v):
         return TableMap.identity(u.matrix)
     source = minimality_source(u, v)
     return clopen_transport(source, v)
@@ -438,14 +435,13 @@ def free_pair(region: ClopenSet) -> tuple[TableMap, TableMap, ClopenSet]:
     if region.is_empty:
         raise EmptyInput("region must be nonempty")
     nu = next(region.view(max(region.depth, 1)))
-    best: tuple[int, int, Word, Word] | None = None
-    for u in matrix.symbols():
-        link = connect_path(matrix, nu[-1], u)
-        ret = first_return(matrix, u, min_len=2)
-        key = (len(link) + len(ret), u)
-        if best is None or key < (best[0], best[1]):
-            best = (len(link) + len(ret), u, link, ret)
-    _, u, link, ret = best
+    # u is unique, so a tie never compares the words
+    _, u, link, ret = min(
+        (len(link) + len(ret), u, link, ret)
+        for u in matrix.symbols()
+        for link in [connect_path(matrix, nu[-1], u)]
+        for ret in [first_return(matrix, u, min_len=2)]
+    )
     stem = nu + link + (u,)
     other = second_return(matrix, u, ret)
     base = stem + ret
@@ -626,11 +622,13 @@ def search_tables(
 
     def mask_of(word: Word) -> tuple[int, int]:
         """The leaves under word as a bitset, and how many there are: the
-        extensions of word to length top are a run of the sorted leaves."""
+        extensions of word to length top are a run of the sorted leaves,
+        from word itself to below word followed by a symbol past n."""
         entry = masks.get(word)
         if entry is None:
-            count = matrix.continuation_count(word[-1], top - len(word))
-            entry = masks[word] = (((1 << count) - 1) << bisect_left(leaves, word), count)
+            lo = bisect_left(leaves, word)
+            count = bisect_left(leaves, word + (matrix.n + 1,), lo) - lo
+            entry = masks[word] = (((1 << count) - 1) << lo, count)
         return entry
 
     base: dict[int, list[Word]] = {}

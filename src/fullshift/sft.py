@@ -10,7 +10,8 @@ set stores only its maximal cylinders, as ``TableMap`` stores only its
 prefix code, so a deep cylinder costs one word; the set's words of one
 common depth are computed when read, and only the text formats read them.
 Both codes are reduced by one sweep, :func:`merge_siblings`: a clopen set
-is a table whose every word is fixed.
+is a table whose every word is fixed.  :meth:`TransitionMatrix.count_within`
+counts words with one rolling row; no matrix table grows with the length.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -43,10 +45,11 @@ class TransitionMatrix:
     """A validated N x N 0-1 matrix: essential, irreducible, not a permutation.
 
     Symbols are the integers 1..N.  Instances are immutable and hashable;
-    use :func:`validate_matrix` to build one from raw rows.
+    use :func:`validate_matrix` to build one from raw rows.  Its tables are
+    built once; only :meth:`words` caches, for short lengths.
     """
 
-    __slots__ = ("n", "entries", "_succ", "_after", "_cont", "_words")
+    __slots__ = ("n", "entries", "_succ", "after", "_words")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         self.n = len(entries)
@@ -54,10 +57,9 @@ class TransitionMatrix:
         self._succ = (tuple(range(1, self.n + 1)),) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
         )
-        # built by followers_after on first use
-        self._after: tuple[dict[int, int], ...] | None = None
-        # _cont[k][sym]: the number of words of length k that may follow sym
-        self._cont: list[tuple[int, ...]] = [(1,) * (self.n + 1)]
+        # after[a][b]: the follower of a next after b (the least for b = 0),
+        # 0 after the last; a = 0 stands for the empty word
+        self.after = tuple(dict(zip((0,) + r, r + (0,))) for r in self._succ)
         self._words: dict[int, tuple[Word, ...]] = {}
 
     def __eq__(self, other):
@@ -88,32 +90,15 @@ class TransitionMatrix:
                 return False
         return all(self.arc(word[t], word[t + 1]) for t in range(len(word) - 1))
 
-    def continuation_count(self, sym: int, length: int) -> int:
-        """Number of admissible words of the given length that may follow sym.
-
-        The counts are a table by length, grown one length at a time, so
-        any length costs no recursion."""
-        counts = self._cont
-        while len(counts) <= length:
-            prev = counts[-1]
-            counts.append((0,) + tuple(sum(prev[t] for t in succ) for succ in self._succ[1:]))
-        return counts[length][sym]
-
-    def word_count(self, k: int) -> int:
-        if k < 0:
-            raise BadInput("word length must be non-negative")
-        if k == 0:
-            return 1
-        return sum(self.continuation_count(s, k - 1) for s in self.symbols())
-
     def count_within(self, words: Iterable[Word], k: int, limit: int) -> int | None:
         """The number of length-k extensions of the given prefix-incomparable
         words, none longer than k, when it is at most limit; else None.
 
-        One sparse rolling row of counts by last symbol (0 for the empty
-        word) that each word joins at its length.  Every symbol has a
-        follower, so the count never falls, and the loop stops at the first
-        length past the limit."""
+        The one word counter; a limit of ``inf`` gives the exact count,
+        uncached.  One sparse rolling row of counts by last symbol (0 for
+        the empty word) that each word joins at its length.  Every symbol
+        has a follower, so the count never falls, and the loop stops at the
+        first length past the limit."""
         if k < 0:
             raise BadInput("word length must be non-negative")
         succ = self._succ
@@ -134,13 +119,6 @@ class TransitionMatrix:
             if total > limit:
                 return None
         return total
-
-    def followers_after(self) -> tuple[dict[int, int], ...]:
-        """after[a][b]: the follower of a next after b (the least for b = 0),
-        0 after the last; a = 0 stands for the empty word.  Built once."""
-        if self._after is None:
-            self._after = tuple(dict(zip((0,) + r, r + (0,))) for r in self._succ)
-        return self._after
 
     def words(self, k: int) -> tuple[Word, ...]:
         """All admissible words of length k, lexicographically sorted: the
@@ -259,15 +237,6 @@ def check_view_size(matrix: TransitionMatrix, code: Iterable[Word], depth: int, 
         raise BadInput(f"{what} at depth {depth} spans more than {limit} cylinders")
 
 
-def view_size(matrix: TransitionMatrix, code: Iterable[Word], depth: int) -> int:
-    """The number of words in the uniform view of a prefix code at depth,
-    counted without listing them."""
-    return sum(
-        matrix.continuation_count(w[-1], depth - len(w)) if w else matrix.word_count(depth)
-        for w in code
-    )
-
-
 def cut(matrix: TransitionMatrix, code: Sequence[Word], word: Word) -> list[tuple[Word, int]]:
     """The cylinder of word cut along a sorted prefix code: the pieces in
     sorted order, each with the index of the code word that is its prefix,
@@ -359,7 +328,7 @@ class ClopenSet:
         """``len(self.refine(depth))``, counted without listing the words."""
         if depth < self.depth:
             raise BadInput("cannot refine a clopen set to a smaller depth")
-        return view_size(self.matrix, self.code, depth)
+        return self.matrix.count_within(self.code, depth, inf)
 
     def contains_point(self, point: "EPPoint") -> bool:
         return self.contains_word(point.prefix(self.depth))
@@ -466,7 +435,7 @@ def merge_siblings(
     the parent is empty: then the images cover the space); the parent's
     image then goes into ``moved``.
     """
-    after = matrix.followers_after()
+    after = matrix.after
     stack: list[Word] = []
     runs: list[int] = []  # runs[i]: stack[i] and its siblings right below it
     for w in words:
@@ -638,7 +607,7 @@ def least_gap(matrix: TransitionMatrix, words: list[Word]) -> Word | None:
     prefix of p and the word.  The cost is linear in the total length of
     the words, with no counts.
     """
-    after = matrix.followers_after()
+    after = matrix.after
     gap: Word | None = EMPTY_WORD
     for w in words:
         if w[: len(gap)] != gap[: len(w)]:

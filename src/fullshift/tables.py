@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -56,7 +57,6 @@ from .sft import (
     least_gap,
     merge_siblings,
     parse_word,
-    view_size,
 )
 
 
@@ -111,7 +111,7 @@ class TableMap:
 
     def entry_count(self) -> int:
         """``len(self.entries)``, counted without building the view."""
-        return view_size(self.matrix, self.code, self.depth)
+        return self.matrix.count_within(self.code, self.depth, inf)
 
     def __eq__(self, other):
         return (

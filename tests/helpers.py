@@ -15,6 +15,7 @@ from fullshift import (
     TableMap,
     TransitionMatrix,
     canonicalize_clopen,
+    cylinder,
     validate_matrix,
 )
 from fullshift.constructions import cylinder_swap
@@ -296,11 +297,22 @@ def clopen_relations_oracle(x: ClopenSet, y: ClopenSet) -> dict:
 
 
 def images_cover_oracle(matrix: TransitionMatrix, images) -> bool:
-    """Whether pairwise disjoint image cylinders cover the space, by counting
-    their extensions to the longest image length (the former library check)."""
+    """Whether pairwise disjoint image cylinders cover the space, by listing
+    their extensions to the longest image length (the former library check,
+    which counted them)."""
     top = max(len(r) for r in images)
-    covered = sum(matrix.continuation_count(r[-1], top - len(r)) for r in images)
-    return covered == matrix.word_count(top)
+    covered = sum(sum(1 for _ in matrix.extensions(r, top)) for r in images)
+    return covered == len(matrix.words(top))
+
+
+def minimality_source_oracle(u: ClopenSet, v: ClopenSet) -> ClopenSet:
+    """The minimality witness's source by the relation of u to v (the
+    former library function): u itself when it lies inside v or misses it,
+    else the first cylinder of u minus v."""
+    if u.compare(v) in ("equal", "subset", "disjoint"):
+        return u
+    rest = u.difference(v)
+    return cylinder(u.matrix, next(rest.view(rest.depth)))
 
 
 def proper_subcylinder_oracle(clopen: ClopenSet) -> ClopenSet:

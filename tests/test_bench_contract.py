@@ -2,6 +2,7 @@
 name.  A traced call in each layer must still reach its counter, so a
 rename that the tracer would miss fails here rather than in ``--trace 1``."""
 
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -82,3 +83,13 @@ def test_tracer_spans_table_reduction_apart_from_clopen_canonicalization():
         totals = tracer.totals()
     assert totals["tables.reduce"][0] == 1
     assert totals["sft.canonicalize_clopen"][0] == before
+
+
+def test_bench_selftest_passes():
+    # the harness's own tests: percentiles, self time, failure ratios and
+    # instance pools that do not depend on PYTHONHASHSEED
+    proc = subprocess.run(
+        [sys.executable, str(Path(BENCH) / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ conditions of the statement it realizes."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,7 @@ from fullshift.constructions import (
     involution_into,
     localize_conjugate,
     matched_partition,
+    minimality_source,
     minimality_witness,
     paired_transport,
     search_tables,
@@ -57,6 +59,7 @@ from helpers import (
     SMALL_POOL,
     long_cycle,
     matched_partition_oracle,
+    minimality_source_oracle,
     moved_cylinder_oracle,
     proper_subcylinder_oracle,
     random_clopen,
@@ -182,16 +185,21 @@ def test_disjoint_corners_branch_far_below_the_target():
 
 
 def test_disjoint_corners_of_a_deep_target_count_only_what_they_need():
-    # the corners ask only whether a depth has `count` cylinders, so a deep
-    # target costs no per-length count table (19,999 rows of growing
-    # integers, 56 MB, when counted exactly)
+    # the corners ask only whether a depth has `count` cylinders: an exact
+    # count works with 20,000-bit integers and, traced, takes longer than
+    # the budget, and a per-length count table took 56 MB
     matrix = validate_matrix([[1, 1], [1, 1]])
     deep = cylinder(matrix, (1, 1)).union(cylinder(matrix, (2,) * 20_000))
-    rows = len(matrix._cont)
-    start = time.perf_counter()
-    corners = _disjoint_corners(deep, 3)
-    assert time.perf_counter() - start < 0.5
-    assert len(matrix._cont) == rows
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        corners = _disjoint_corners(deep, 3)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2**23, peak
     ones = (1,) * 19_998
     assert [c.code for c in corners] == [
         (ones + (1, 1),), (ones + (1, 2),), (ones + (2, 1),)
@@ -232,6 +240,18 @@ def test_minimality_witness_examples():
     u, v = cylinder(GOLDEN, (2,)), cylinder(GOLDEN, (1, 1))
     gamma = minimality_witness(u, v)
     assert_all(check_minimality_witness(u, v, gamma))
+
+
+def test_minimality_source_matches_the_relation_oracle():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(400):
+        matrix = rng.choice(POOL)
+        u, v = random_clopen(rng, matrix), random_clopen(rng, matrix)
+        seen.add(u.compare(v))
+        assert minimality_source(u, v) == minimality_source_oracle(u, v), (u, v)
+        assert minimality_witness(u, v).is_identity == u.is_subset_of(v)
+    assert seen == {"equal", "subset", "superset", "disjoint", "overlapping"}
 
 
 def test_minimality_witness_overlapping():

@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from math import inf
 
 import pytest
 
@@ -122,7 +123,7 @@ def test_words_are_admissible_everywhere():
         words = list(matrix.words(k))
         assert words == sorted(words)
         assert all(matrix.is_admissible(w) for w in words)
-        assert len(words) == matrix.word_count(k)
+        assert len(words) == matrix.count_within([()], k, inf)
 
 
 def test_canonicalize_merges_full_family():
@@ -209,8 +210,8 @@ def test_count_at_matches_refine():
 
 
 def test_deep_compare_memory():
-    # the full set against a deep cylinder counts with one rolling row and
-    # grows no per-length table (a fresh matrix: the pool's may have one)
+    # the full set against a deep cylinder lists and counts no words of the
+    # cylinder's depth, so memory stays small
     matrix = parse_matrix_text(format_matrix_text(FULL2))
     tracemalloc.start()
     try:
@@ -219,7 +220,6 @@ def test_deep_compare_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert len(matrix._cont) == 1
 
 
 def test_connect_path_spec_cases():
@@ -296,14 +296,14 @@ def test_second_return_leaves_a_long_return_word():
     assert second_return(matrix, 8, ret) == (9, 10, 11, 12, 13, 14, 1, 2, 2, 7, 8)
 
 
-def test_continuation_count_has_no_recursion_limit():
-    assert FULL2.continuation_count(1, 1200) == 2 ** 1200
-    assert GOLDEN.continuation_count(2, 30) == GOLDEN.continuation_count(1, 29)
+def test_count_within_has_no_recursion_limit():
+    assert FULL2.count_within([(1,)], 1201, inf) == 2 ** 1200
+    assert GOLDEN.count_within([(2,)], 31, inf) == GOLDEN.count_within([(1,)], 30, inf)
     for matrix in POOL:
         for k in range(6):
-            assert matrix.word_count(k) == len(matrix.words(k))
+            assert matrix.count_within([()], k, inf) == len(matrix.words(k))
             for sym in matrix.symbols():
-                assert matrix.continuation_count(sym, k) == len(
+                assert matrix.count_within([(sym,)], k + 1, inf) == len(
                     list(matrix.extensions((sym,), k + 1))
                 )
 
