@@ -66,7 +66,7 @@ def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
     """The permutation cycling a list of pairwise disjoint cylinders whose
     ending symbols all share one follower row.  Its code is the cycled
     words plus the pieces of the whole space, cut along them, that miss
-    them all."""
+    them all; it is checked in cycle order, then sorted."""
     if len(words) < 2:
         raise BadInput("need at least two cylinders to cycle")
     for i, a in enumerate(words):
@@ -75,10 +75,11 @@ def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
                 raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
         if matrix.row(a[-1]) != matrix.row(words[0][-1]):
             raise BadInput("cylinder ends have different follower rows")
-    code = {w: words[(i + 1) % len(words)] for i, w in enumerate(words)}
-    code.update((w, w) for w, k in cut(matrix, sorted(words), EMPTY_WORD) if k < 0)
-    validate_images(matrix, code)
-    return TableMap(matrix, max(map(len, words)), code)
+    rest = [w for w, k in cut(matrix, sorted(words), EMPTY_WORD) if k < 0]
+    domain, images = [*words, *rest], [*words[1:], words[0], *rest]
+    validate_images(matrix, domain, images)
+    domain, images = zip(*sorted(zip(domain, images)))
+    return TableMap(matrix, max(map(len, words)), domain, images)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +111,8 @@ def involution_into(
     candidates = sorted(
         (mu + branch + (u,) + xi + (nu[-1],) for branch in (s, sp))
     )
-    cut = len(mu) + len(s) + 1
-    chosen = next(c for c in candidates if c[:cut] != nu[:cut])
+    head = len(mu) + len(s) + 1
+    chosen = next(c for c in candidates if c[:head] != nu[:head])
     alpha = cylinder_swap(matrix, nu, chosen)
     return cylinder(matrix, nu), alpha
 
@@ -151,12 +152,10 @@ def matched_partition(
     """
     matrix = gamma.matrix
     g = gamma.reduce()
-    domain = sorted(g.code)
     pending = []
     for c in u.code:
-        for nu, i in cut(matrix, domain, c):
-            d = domain[i]
-            pending.append((nu, g.code[d] + nu[len(d):]))
+        for nu, i in cut(matrix, g.domain, c):
+            pending.append((nu, g.images[i] + nu[len(g.domain[i]):]))
     pairs = []
     while pending:
         nu, rho = pending.pop()
@@ -477,12 +476,11 @@ def _disjoint_moved_cylinder(eta: TableMap) -> ClopenSet:
     """A cylinder Y with eta(Y) disjoint from Y, inside the support of eta.
 
     Tries the moved entries of the reduced table's uniform view in
-    lexicographic order; they are the extensions of the moved code words.
+    lexicographic order; they are the extensions of the moved domain words.
     """
     g = eta.reduce()
     matrix = g.matrix
-    for word in sorted(g.code):
-        image = g.code[word]
+    for word, image in zip(g.domain, g.images):
         if image == word:
             continue
         for nu in matrix.extensions(word, g.depth):
@@ -580,18 +578,19 @@ def search_tables(
     matrix: TransitionMatrix,
     depth_bound: int,
     image_bound: int,
-    candidate_filter: Callable[[Word], Sequence[Word]] | None = None,
+    candidate_filter: Callable[[Word, list[Word]], list[Word]] | None = None,
 ) -> Iterator[TableMap]:
     """Every valid table within the bounds, the identity first.
 
     Tables come in a fixed deterministic order: by increasing depth, the
     domain words assigned images in lexicographic order, with candidate
-    images ordered by (length, word), or in the order `candidate_filter`
-    returns them for a domain word.  A depth-d table is a choice of one
-    candidate per depth-d word whose image cylinders partition the space;
-    each candidate is a bitset over the words of length image_bound (the
-    leaves) it covers, so the choices must be pairwise disjoint and cover
-    all n_leaves leaves.  Three exact rules cut the backtracking:
+    images ordered by (length, word); ``candidate_filter(nu, cands)``
+    returns the candidates it keeps for domain word nu, in that order.  A
+    depth-d table is a choice of one candidate per depth-d word whose image
+    cylinders partition the space; each candidate is a bitset over the
+    words of length image_bound (the leaves) it covers, so the choices must
+    be pairwise disjoint and cover all n_leaves leaves.  Three exact rules
+    cut the backtracking:
 
     * reach[i] is the bitset of leaf counts that domain words i..n-1 could
       still cover together, one candidate each, ignoring overlaps.  A
@@ -637,12 +636,11 @@ def search_tables(
         n = len(domain)
         per_word: list[list[tuple[Word, int, int]]] = []
         for nu in domain:
+            cands = base.get(nu[-1])
+            if cands is None:
+                cands = base[nu[-1]] = _candidate_images(matrix, nu[-1], image_bound)
             if candidate_filter is not None:
-                cands = candidate_filter(nu)
-            else:
-                cands = base.get(nu[-1])
-                if cands is None:
-                    cands = base[nu[-1]] = _candidate_images(matrix, nu[-1], image_bound)
+                cands = candidate_filter(nu, cands)
             per_word.append([(w, *mask_of(w)) for w in cands])
         reach = [0] * (n + 1)
         reach[n] = 1
@@ -659,7 +657,6 @@ def search_tables(
         # the closing pairs for the last two domain words, by the leaves they
         # must cover together, filled the first time a leaf set is seen
         pairs: dict[int, list[tuple[Word, Word]]] = {}
-        penult, last = domain[n - 2], domain[n - 1]
         # iterative backtracking: position i tries per_word[i] from nxt[i],
         # with used[i] the leaves covered by the choices before it; a valid
         # matrix has at least two words of each depth, so n >= 2
@@ -677,13 +674,8 @@ def search_tables(
                         for w, m, _ in per_word[i]
                         if not m & ~free and free ^ m in closing
                     ]
-                if found:
-                    head = dict(zip(domain, assignment))
-                    for w, c in found:
-                        code = head.copy()
-                        code[penult] = w
-                        code[last] = c
-                        yield TableMap(matrix, depth, code)
+                for w, c in found:
+                    yield TableMap(matrix, depth, domain, (*assignment, w, c))
                 i -= 1
                 continue
             cands, taken, fits = per_word[i], used[i], reach[i + 1]
@@ -706,7 +698,7 @@ def _run_search(
     depth_bound: int,
     image_bound: int,
     visit: Callable[[TableMap], object],
-    candidate_filter: Callable[[Word], Sequence[Word]] | None = None,
+    candidate_filter: Callable[[Word, list[Word]], list[Word]] | None = None,
 ):
     """The first non-None ``visit(table)`` over :func:`search_tables`, else
     None.  :func:`witness_search` and ``invariants.gamma_equivalent`` both

@@ -21,7 +21,7 @@ from math import gcd, inf, prod
 from operator import mul
 from typing import Callable
 
-from .constructions import _candidate_images, _run_search
+from .constructions import _run_search
 from .errors import BadInput, MatrixMismatch
 from .sft import ClopenSet, TransitionMatrix, Word, cut
 from .tables import TableMap
@@ -531,9 +531,7 @@ class EquivalenceResult:
     reason: str
 
 
-def maps_onto_candidates(
-    u: ClopenSet, v: ClopenSet, image_bound: int
-) -> Callable[[Word], list[Word]]:
+def maps_onto_candidates(u: ClopenSet, v: ClopenSet) -> Callable[[Word, list[Word]], list[Word]]:
     """The candidate filter of the search for a table carrying u onto v.
 
     For a domain word nu it keeps, in search order, the candidate images
@@ -542,13 +540,8 @@ def maps_onto_candidates(
     outside u must be carried off v.
     """
     matrix = u.matrix
-    base: dict[int, list[Word]] = {}
 
-    def filtered(nu: Word) -> list[Word]:
-        cands = base.get(nu[-1])
-        if cands is None:
-            cands = _candidate_images(matrix, nu[-1], image_bound)
-            base[nu[-1]] = cands
+    def filtered(nu: Word, cands: list[Word]) -> list[Word]:
         k = len(nu)
         pieces = [(w[k:], i >= 0) for w, i in cut(matrix, u.code, nu)]
         return [
@@ -604,7 +597,7 @@ def gamma_equivalent(
 
     found = _run_search(
         matrix, depth_bound, image_bound, visit,
-        candidate_filter=maps_onto_candidates(u, v, image_bound),
+        candidate_filter=maps_onto_candidates(u, v),
     )
     if found is not None:
         return EquivalenceResult("equivalent", found, "witness found by bounded search")

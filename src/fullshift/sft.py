@@ -6,9 +6,10 @@ on: validated transition matrices, admissible words as plain tuples of
 periodic points as (preperiod, period) pairs.  Everything is an immutable
 value and every operation is exact; two clopen sets denote the same
 subset of the shift space if and only if they compare equal.  A clopen
-set stores only its maximal cylinders, as ``TableMap`` stores only its
-prefix code, so a deep cylinder costs one word; the set's words of one
-common depth are computed when read, and only the text formats read them.
+set stores its maximal cylinders as a sorted tuple, and ``TableMap`` its
+domain beside the aligned images, so a deep cylinder costs one word and
+the walks along a code (:func:`cut`, :func:`merge_siblings`) never sort.
+The words of one depth are computed when read, for the text formats.
 Both codes are reduced by one sweep, :func:`merge_siblings`: a clopen set
 is a table whose every word is fixed.  :meth:`TransitionMatrix.count_within`
 counts words with one rolling row; no matrix table grows with the length.
@@ -33,6 +34,7 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
+Code = tuple[Word, ...]  # a prefix code: sorted, no word a prefix of another
 
 EMPTY_WORD: Word = ()
 
@@ -281,7 +283,7 @@ class ClopenSet:
     """
 
     matrix: TransitionMatrix
-    code: tuple[Word, ...]
+    code: Code
 
     @cached_property
     def depth(self) -> int:
@@ -418,7 +420,7 @@ def canonicalize_clopen(
 
 
 def merge_siblings(
-    matrix: TransitionMatrix, words: list[Word], moved: dict[Word, Word]
+    matrix: TransitionMatrix, words: Sequence[Word], moved: dict[Word, Word]
 ) -> list[Word]:
     """The reduced prefix code of sorted words, each mapped to its image in
     ``moved`` or else fixed: the one normal form of clopen sets (every word

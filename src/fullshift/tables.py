@@ -2,20 +2,22 @@
 
 A homeomorphism of the shift space that preserves shift orbits with
 continuous cocycles acts by prefix exchanges.  A table stores one as a
-complete prefix code: a finite set of domain words whose cylinders
-partition the space, each mapped to an image word.  The cylinder of a
-domain word is carried onto the cylinder of its image, the suffix
-untouched.  Domain words may have different lengths, so an element that
-moves a few small cylinders costs a few entries, not every word of one
-depth.  A table is valid when every image word ends in a symbol with the
-same follower row as its domain word and the image cylinders partition
-the space.
+complete prefix code: a sorted tuple of domain words whose cylinders
+partition the space, as a clopen set stores its code, and the aligned
+tuple of their images.  The cylinder of a domain word is carried onto the
+cylinder of its image, the suffix untouched.  Domain words may have
+different lengths, so an element that moves a few small cylinders costs a
+few entries, not every word of one depth.  A table is valid when every
+image word ends in a symbol with the same follower row as its domain word
+and the image cylinders partition the space.
 
 Each table also has a depth, at least its longest domain word.  Refining
 every domain word to all of its admissible extensions of that length gives
 the uniform view: the form of the ``L depth`` text files and of cocycle
 tables.  The code is the only form a table stores; the view is computed
-from it, in sorted order, each time it is read, and never kept.
+from it, in sorted order, each time it is read, and never kept.  Only an
+inverse, a validated file and a cylinder cycle sort their pairs; every
+other table is built with its domain in order.
 
 Group structure is exact.  Composition and inversion work on the codes,
 and reduction merges complete sibling families bottom-up into the unique
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     BadDomain,
@@ -47,6 +49,7 @@ from .errors import (
 from .sft import (
     EMPTY_WORD,
     ClopenSet,
+    Code,
     EPPoint,
     TransitionMatrix,
     Word,
@@ -63,8 +66,9 @@ from .sft import (
 class TableMap:
     """An element of the continuous full group as a prefix-exchange table.
 
-    ``code`` maps the words of a complete prefix code to their images;
-    ``depth`` is at least its longest word.  Tables built by validation,
+    ``domain`` is a complete prefix code as a strictly increasing tuple of
+    words, and ``images[i]`` is the image of ``domain[i]``; ``depth`` is at
+    least the longest domain word.  Tables built by validation,
     construction, composition or reduction have ``depth`` equal to their
     longest domain word; an inverse keeps the depth of its uniform view.
 
@@ -75,17 +79,18 @@ class TableMap:
     alone.
     """
 
-    __slots__ = ("matrix", "depth", "code", "_reduced")
+    __slots__ = ("matrix", "depth", "domain", "images", "_reduced")
 
-    def __init__(self, matrix: TransitionMatrix, depth: int, code: dict[Word, Word]):
+    def __init__(self, matrix: TransitionMatrix, depth: int, domain: Code, images: Code):
         self.matrix = matrix
         self.depth = depth
-        self.code = code
+        self.domain = domain
+        self.images = images
         self._reduced: TableMap | None = None
 
     @classmethod
     def identity(cls, matrix: TransitionMatrix) -> "TableMap":
-        return cls(matrix, 0, {EMPTY_WORD: EMPTY_WORD})
+        return cls(matrix, 0, (EMPTY_WORD,), (EMPTY_WORD,))
 
     @property
     def entries(self) -> dict[Word, Word]:
@@ -97,11 +102,11 @@ class TableMap:
 
     def _uniform_view(self) -> Iterator[tuple[Word, Word]]:
         """The uniform view in sorted order: each extension w of a code word
-        nu to ``depth``, with its image rho + w[len(nu):].  The code is
-        prefix-free, so its words in sorted order have their extensions in
+        nu to ``depth``, with its image rho + w[len(nu):].  The domain is
+        sorted and prefix-free, so the extensions of its words come out in
         sorted order too."""
         extensions, depth = self.matrix.extensions, self.depth
-        for nu, rho in sorted(self.code.items()):
+        for nu, rho in zip(self.domain, self.images):
             k = len(nu)
             if k == depth:
                 yield nu, rho
@@ -111,18 +116,20 @@ class TableMap:
 
     def entry_count(self) -> int:
         """``len(self.entries)``, counted without building the view."""
-        return self.matrix.count_within(self.code, self.depth, inf)
+        return self.matrix.count_within(self.domain, self.depth, inf)
 
     def __eq__(self, other):
         return (
             isinstance(other, TableMap)
             and self.matrix == other.matrix
             and self.depth == other.depth
-            and (self.code == other.code or self.reduce().code == other.reduce().code)
+            and (self.domain == other.domain and self.images == other.images
+                 or self.same_map(other))
         )
 
     def __hash__(self):
-        return hash((self.matrix, self.depth, frozenset(self.reduce().code.items())))
+        g = self.reduce()
+        return hash((self.matrix, self.depth, g.domain, g.images))
 
     def __repr__(self):
         if self.is_identity:
@@ -131,7 +138,7 @@ class TableMap:
 
     @property
     def is_identity(self) -> bool:
-        return all(v == k for k, v in self.code.items())
+        return self.domain == self.images
 
     # -- pointwise action ---------------------------------------------------
 
@@ -145,12 +152,11 @@ class TableMap:
         return EPPoint.from_primitive(image + tail.pre, tail.per)
 
     def word_image(self, word: Word) -> Word | None:
-        """Image of the cylinder of word when one domain cylinder holds it."""
-        code = self.code
-        for k in range(min(len(word), self.depth), -1, -1):
-            rho = code.get(word[:k])
-            if rho is not None:
-                return rho + word[k:]
+        """Image of the cylinder of word when one domain cylinder holds it:
+        only the greatest domain word at most word can be its prefix."""
+        i = bisect_right(self.domain, word)
+        if i and word[: len(nu := self.domain[i - 1])] == nu:
+            return self.images[i - 1] + word[len(nu):]
         return None
 
     # -- group operations ---------------------------------------------------
@@ -158,51 +164,51 @@ class TableMap:
     def compose(self, inner: "TableMap") -> "TableMap":
         """self after inner, as a reduced table.
 
-        Each image cylinder of ``inner`` is cut along this table's sorted
-        domain code by :func:`cut`, which splits a cylinder only where some
-        domain word extends it; the pieces form the composed code.
+        Each image cylinder of ``inner`` is cut along this table's domain
+        by :func:`cut`, which splits a cylinder only where some domain word
+        extends it; the pieces, in order, form the composed code.
         """
         if self.matrix != inner.matrix:
             raise MatrixMismatch("cannot compose tables over different matrices")
-        matrix, outer = self.matrix, self.code
-        domain = sorted(outer)
-        code: dict[Word, Word] = {}
-        for nu, rho in inner.code.items():
+        matrix, domain, outer = self.matrix, self.domain, self.images
+        words, images = [], []
+        for nu, rho in zip(inner.domain, inner.images):
             k = len(rho)
             for w, i in cut(matrix, domain, rho):
                 if i < 0:
                     raise InadmissibleWord(f"word {format_word(w)} is not admissible")
-                d = domain[i]
-                code[nu + w[k:]] = outer[d] + w[len(d):]
-        return TableMap(matrix, max(map(len, code)), code).reduce()
+                words.append(nu + w[k:])
+                images.append(outer[i] + w[len(domain[i]):])
+        return TableMap(matrix, max(map(len, words)), tuple(words), tuple(images)).reduce()
 
     def inverse(self) -> "TableMap":
-        """The inverse table: the code reversed.  Its depth is the longest
-        image in this table's uniform view, so its uniform view is that
-        view reversed and written out at one depth."""
-        depth = max(len(rho) + self.depth - len(nu) for nu, rho in self.code.items())
-        return TableMap(self.matrix, depth, {rho: nu for nu, rho in self.code.items()})
+        """The inverse table: the code reversed, sorted by image.  Its depth
+        is the longest image in this table's uniform view, so its uniform
+        view is that view reversed and written out at one depth."""
+        depth = max(len(rho) + self.depth - len(nu) for nu, rho in zip(self.domain, self.images))
+        domain, images = zip(*sorted(zip(self.images, self.domain)))
+        return TableMap(self.matrix, depth, domain, images)
 
     def reduce(self) -> "TableMap":
         """The reduced code: the unique minimal-depth table denoting the same
-        homeomorphism.  :func:`merge_siblings` sweeps the sorted domain with
-        the moved words' images, as it sweeps a clopen set's words with
-        every word fixed.  Computed once per table."""
+        homeomorphism.  :func:`merge_siblings` sweeps the domain with the
+        moved words' images, as it sweeps a clopen set's words with every
+        word fixed.  Computed once per table."""
         if self._reduced is None:
-            domain = sorted(self.code)
-            moved = {nu: rho for nu, rho in self.code.items() if rho != nu}
-            words = merge_siblings(self.matrix, domain, moved)
+            moved = {nu: rho for nu, rho in zip(self.domain, self.images) if rho != nu}
+            words = tuple(merge_siblings(self.matrix, self.domain, moved))
             depth = max(map(len, words))
-            if words == domain and depth == self.depth:
+            if words == self.domain and depth == self.depth:
                 self._reduced = self
             else:
-                code = {w: moved.get(w, w) for w in words}
-                self._reduced = TableMap(self.matrix, depth, code)
+                images = tuple(moved.get(w, w) for w in words)
+                self._reduced = TableMap(self.matrix, depth, words, images)
                 self._reduced._reduced = self._reduced
         return self._reduced
 
     def same_map(self, other: "TableMap") -> bool:
-        return self.reduce().code == other.reduce().code
+        g, h = self.reduce(), other.reduce()
+        return g.domain == h.domain and g.images == h.images
 
     def order(self, bound: int, entry_cap: int = 4096) -> int | None:
         """Least k <= bound with the k-th power trivial, else None.  Also
@@ -217,7 +223,7 @@ class TableMap:
             acc = g.compose(acc)
             if acc.is_identity:
                 return k
-            if len(acc.code) > entry_cap:
+            if len(acc.domain) > entry_cap:
                 return None
         return None
 
@@ -236,7 +242,7 @@ class TableMap:
             raise BadInput("cannot refine a table to a smaller depth")
         if depth == self.depth:
             return self
-        return TableMap(self.matrix, depth, self.code)
+        return TableMap(self.matrix, depth, self.domain, self.images)
 
     # -- supports, fixed sets, cocycles --------------------------------------
 
@@ -251,11 +257,11 @@ class TableMap:
         it closes is admissible.  Any code of the map gives the same sets,
         reduced or not.
         """
-        matrix, code = self.matrix, self.code
-        kept = [nu for nu, rho in code.items() if rho == nu]
+        matrix, pairs = self.matrix, list(zip(self.domain, self.images))
+        kept = [nu for nu, rho in pairs if rho == nu]
         fixed_clopen = canonicalize_clopen(matrix, kept, trusted=True)
         isolated = []
-        for nu, rho in code.items():
+        for nu, rho in pairs:
             if len(rho) > len(nu) and rho[: len(nu)] == nu:
                 loop = rho[len(nu):]
                 if matrix.arc(loop[-1], loop[0]):
@@ -269,12 +275,12 @@ class TableMap:
 
     def support(self) -> ClopenSet:
         """The clopen support alone: the union of the moved domain cylinders."""
-        moved = [nu for nu, rho in self.code.items() if rho != nu]
+        moved = [nu for nu, rho in zip(self.domain, self.images) if rho != nu]
         return canonicalize_clopen(self.matrix, moved, trusted=True)
 
     def cocycles(self) -> "CocycleTable":
         depth = self.depth
-        check_view_size(self.matrix, self.code, depth, "the table")
+        check_view_size(self.matrix, self.domain, depth, "the table")
         return CocycleTable(depth, {w: (len(image), depth) for w, image in self._uniform_view()})
 
     def in_local_subgroup(self, region: ClopenSet) -> bool:
@@ -298,7 +304,7 @@ class TableMap:
             raise MatrixMismatch("clopen set lives over a different matrix")
         words, out = clopen.code, []
         last = len(words)
-        for nu, rho in self.code.items():
+        for nu, rho in zip(self.domain, self.images):
             i = bisect_right(words, nu)
             if i:
                 w = words[i - 1]
@@ -321,15 +327,16 @@ class TableMap:
         if self.image_clopen(region) != region:
             raise NotInvariant("the map does not carry the given clopen set onto itself")
         matrix = self.matrix
-        inside: dict[Word, Word] = {}
-        outside: dict[Word, Word] = {}
-        for nu, rho in self.code.items():
+        pieces = []
+        for nu, rho in zip(self.domain, self.images):
             k = len(nu)
             for w, i in cut(matrix, region.code, nu):
                 image = rho + w[k:]
-                inside[w], outside[w] = (image, w) if i >= 0 else (w, image)
-        part_in = TableMap(matrix, max(map(len, inside)), inside).reduce()
-        part_out = TableMap(matrix, max(map(len, outside)), outside).reduce()
+                pieces.append((w, image, w) if i >= 0 else (w, w, image))
+        domain, inside, outside = zip(*pieces)
+        depth = max(map(len, domain))
+        part_in = TableMap(matrix, depth, domain, inside).reduce()
+        part_out = TableMap(matrix, depth, domain, outside).reduce()
         return part_in, part_out
 
 
@@ -359,7 +366,8 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
 
     Checks, in order: the domain is exactly the set of depth-L words (a
     missing word is found by :func:`least_gap`, without counting the
-    depth-L words); then the images, as :func:`validate_images` does.
+    depth-L words); then the images, as :func:`validate_images` does, in
+    the order of ``raw_entries``.  The domain is then sorted.
     """
     entries = {tuple(k): tuple(v) for k, v in raw_entries.items()}
     if not entries:
@@ -371,26 +379,29 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
     if depth == 0:
         if entries != {EMPTY_WORD: EMPTY_WORD}:
             raise BadDomain("a depth-0 table must map the empty word to itself")
-        return TableMap(matrix, 0, {EMPTY_WORD: EMPTY_WORD})
-    good = {w for w in entries if matrix.is_admissible(w)}
-    missing = least_gap(matrix, sorted(good))
+        return TableMap.identity(matrix)
+    domain = tuple(sorted(w for w in entries if matrix.is_admissible(w)))
+    missing = least_gap(matrix, domain)
     if missing is not None:
         while len(missing) < depth:
             missing += (matrix.successors(missing[-1])[0] if missing else 1,)
         raise BadDomain(f"domain misses word {format_word(missing)}")
-    if len(good) < len(entries):
-        raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - good))}")
-    validate_images(matrix, entries)
-    return TableMap(matrix, depth, entries)
+    if len(domain) < len(entries):
+        raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - set(domain)))}")
+    validate_images(matrix, entries, entries.values())
+    return TableMap(matrix, depth, domain, tuple(entries[w] for w in domain))
 
 
-def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None:
-    """Check the images of a complete prefix code of nonempty words, or
+def validate_images(
+    matrix: TransitionMatrix, domain: Iterable[Word], images: Iterable[Word]
+) -> None:
+    """Check the images of a complete prefix code of nonempty words, given
+    in any order, each image aligned with its domain word, or
     diagnose: each image is admissible, nonempty and row-compatible with
-    its domain word; the image cylinders are pairwise disjoint; they cover
-    the whole space, else the diagnosis names the gap that
-    :func:`least_gap` finds."""
-    for nu, rho in code.items():
+    its domain word, checked in the given order; the image cylinders are
+    pairwise disjoint; they cover the whole space, else the diagnosis
+    names the gap that :func:`least_gap` finds."""
+    for nu, rho in zip(domain, images):
         if not rho:
             raise RowMismatch(f"entry {format_word(nu)} has an empty image")
         if not matrix.is_admissible(rho):
@@ -400,7 +411,7 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
                 f"entry {format_word(nu)} -> {format_word(rho)}: "
                 f"row of {rho[-1]} differs from row of {nu[-1]}"
             )
-    images = sorted(code.values())
+    images = sorted(images)
     for a, b in zip(images, images[1:]):
         if b[: len(a)] == a:
             raise ImagesOverlap(f"images {format_word(a)} and {format_word(b)} intersect")
@@ -411,14 +422,14 @@ def validate_images(matrix: TransitionMatrix, code: Mapping[Word, Word]) -> None
 
 def format_table_text(table: TableMap) -> str:
     """The uniform view as text: ``L depth`` then one line per entry, in
-    sorted order, streamed from the code once its size is checked.  Each
+    sorted order, streamed from the domain once its size is checked.  Each
     code word and its image are formatted once; each extension adds the
     text of its suffix, which the domain and the image share."""
     depth = table.depth
-    check_view_size(table.matrix, table.code, depth, "the table")
+    check_view_size(table.matrix, table.domain, depth, "the table")
     lines = [f"L {depth}"]
     extensions = table.matrix.extensions
-    for nu, rho in sorted(table.code.items()):
+    for nu, rho in zip(table.domain, table.images):
         k = len(nu)
         if k == depth:
             lines.append(f"{format_word(nu)} -> {format_word(rho)}")

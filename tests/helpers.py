@@ -94,6 +94,28 @@ def long_cycle(n: int) -> TransitionMatrix:
     return validate_matrix(rows)
 
 
+def table_from(matrix: TransitionMatrix, depth: int, mapping: dict) -> TableMap:
+    """The table of a dict from domain words to images, given in any order:
+    the domain sorted, the images aligned with it."""
+    domain = tuple(sorted(mapping))
+    return TableMap(matrix, depth, domain, tuple(mapping[w] for w in domain))
+
+
+def code_of(table: TableMap) -> dict:
+    """A table's code as a dict from domain words to images."""
+    return dict(zip(table.domain, table.images))
+
+
+def assert_sorted_form(table: TableMap) -> None:
+    """The stored form of a table: a strictly increasing, prefix-free
+    domain (in sorted order a prefix would come right before a word that
+    extends it) and one image per domain word."""
+    domain = table.domain
+    assert len(table.images) == len(domain), table
+    for a, b in zip(domain, domain[1:]):
+        assert a < b and b[: len(a)] != a, (a, b)
+
+
 def random_clopen(
     rng: random.Random,
     matrix: TransitionMatrix,
@@ -331,9 +353,9 @@ def moved_cylinder_oracle(table: TableMap, cap: int = 64):
     Y: the moved entries of the reduced table's uniform view in order, each
     followed down its fixed track for up to `cap` more symbols."""
     g = table.reduce()
-    matrix = g.matrix
-    for word in sorted(g.code):
-        image = g.code[word]
+    matrix, code = g.matrix, code_of(g)
+    for word in sorted(code):
+        image = code[word]
         if image == word:
             continue
         for nu in matrix.extensions(word, g.depth):
@@ -493,7 +515,7 @@ def words_oracle(matrix: TransitionMatrix, word, length: int) -> list:
 def uniform_view_oracle(table: TableMap) -> dict:
     """The uniform view of a table: each oracle word of length depth mapped
     through the code word that is its prefix, in sorted order."""
-    code, view = table.code, {}
+    code, view = code_of(table), {}
     for w in words_oracle(table.matrix, (), table.depth):
         k = next(k for k in range(len(w) + 1) if w[:k] in code)
         view[w] = code[w[:k]] + w[k:]
@@ -619,15 +641,15 @@ def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
     """Least k <= bound with the k-th power trivial, by repeated uniform
     composition, with the same cap on power sizes as TableMap.order."""
     matrix = table.matrix
-    g = TableMap(matrix, *uniform_reduce_oracle(matrix, table.depth, uniform_view_oracle(table)))
-    if all(v == w for w, v in g.code.items()):
+    g = table_from(matrix, *uniform_reduce_oracle(matrix, table.depth, uniform_view_oracle(table)))
+    if all(v == w for w, v in code_of(g).items()):
         return 1
     acc = g
     for k in range(2, bound + 1):
-        acc = TableMap(matrix, *uniform_compose_oracle(g, acc))
-        if all(v == w for w, v in acc.code.items()):
+        acc = table_from(matrix, *uniform_compose_oracle(g, acc))
+        if all(v == w for w, v in code_of(acc).items()):
             return k
-        if len(acc.code) > entry_cap:
+        if len(acc.domain) > entry_cap:
             return None
     return None
 
@@ -658,7 +680,9 @@ def search_order_oracle(matrix: TransitionMatrix, depth_bound: int, image_bound:
         n = len(domain)
         per_word = []
         for nu in domain:
-            cands = candidate_images(nu[-1]) if candidate_filter is None else candidate_filter(nu)
+            cands = candidate_images(nu[-1])
+            if candidate_filter is not None:
+                cands = candidate_filter(nu, cands)
             per_word.append([(w, mask_of(w)) for w in cands])
         best_cover = [max((m.bit_count() for _, m in c), default=0) for c in per_word]
         suffix_cover = [0] * (n + 1)
@@ -669,7 +693,7 @@ def search_order_oracle(matrix: TransitionMatrix, depth_bound: int, image_bound:
         def backtrack(i, used):
             if i == n:
                 if used == full:
-                    out.append(TableMap(matrix, depth, dict(zip(domain, assignment))))
+                    out.append(table_from(matrix, depth, dict(zip(domain, assignment))))
                 return
             free = n_leaves - used.bit_count()
             if free < n - i or free > suffix_cover[i]:

@@ -11,9 +11,8 @@ import fullshift.constructions as cons
 import fullshift.invariants as inv
 import fullshift.sft as sft
 from fullshift.sft import cylinder
-from fullshift.tables import TableMap
 
-from helpers import FULL2, GOLDEN, cylinder_swap
+from helpers import FULL2, GOLDEN, cylinder_swap, table_from
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -75,7 +74,7 @@ def test_tracer_spans_table_reduction_apart_from_clopen_canonicalization():
     # reduce sweeps its code with the same function canonicalize_clopen
     # calls, but opens only its own span: tables.reduce.* times table
     # reduction and sft.canonicalize_clopen.* counts clopen sets alone
-    split = TableMap(FULL2, 2, {(1, 1): (1, 1), (1, 2): (1, 2), (2,): (2,)})
+    split = table_from(FULL2, 2, {(1, 1): (1, 1), (1, 2): (1, 2), (2,): (2,)})
     with traced() as tracer:
         assert cylinder(FULL2, (1,)).union(cylinder(FULL2, (2,))).is_full
         before = tracer.totals()["sft.canonicalize_clopen"][0]

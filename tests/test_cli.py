@@ -313,6 +313,13 @@ def test_bad_table_diagnosis(files, tmp_path, capsys):
     path.write_text("L 1\n1 -> 2\n2 -> 1\n")
     assert run(["table-validate", files["golden.mat"], str(path)]) == 1
     assert "RowMismatch" in capsys.readouterr().out
+    # both entries break the row rule; the images are checked in file
+    # order, so the first line of the file is named, not the least word
+    path.write_text("L 1\n2 -> 1\n1 -> 2\n")
+    assert run(["table-validate", files["golden.mat"], str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ERROR: RowMismatch: entry 2 -> 1: row of 1 differs from row of 2"
+    )
 
 
 def test_construct_missing_argument(files, capsys):

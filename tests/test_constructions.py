@@ -4,6 +4,7 @@ conditions of the statement it realizes."""
 import random
 import time
 import tracemalloc
+from math import inf
 
 import pytest
 
@@ -18,6 +19,7 @@ from fullshift import (
     validate_matrix,
 )
 from fullshift.constructions import (
+    _candidate_images,
     _disjoint_corners,
     _disjoint_moved_cylinder,
     check_clopen_transport,
@@ -44,7 +46,7 @@ from fullshift.constructions import (
     witness_search,
 )
 from fullshift.invariants import maps_onto_candidates
-from fullshift.sft import point_in
+from fullshift.sft import TransitionMatrix, point_in
 from fullshift.tables import validate_table
 
 from helpers import (
@@ -57,6 +59,7 @@ from helpers import (
     POOL,
     RING3,
     SMALL_POOL,
+    assert_sorted_form,
     long_cycle,
     matched_partition_oracle,
     minimality_source_oracle,
@@ -184,12 +187,21 @@ def test_disjoint_corners_branch_far_below_the_target():
     assert corners[0] == proper_subcylinder_oracle(cylinder(matrix, (3,)))
 
 
-def test_disjoint_corners_of_a_deep_target_count_only_what_they_need():
+def test_disjoint_corners_of_a_deep_target_count_only_what_they_need(monkeypatch):
     # the corners ask only whether a depth has `count` cylinders: an exact
     # count works with 20,000-bit integers and, traced, takes longer than
-    # the budget, and a per-length count table took 56 MB
+    # the budget, and a per-length count table took 56 MB; every count
+    # they ask for must carry a finite limit, whatever the clock says
     matrix = validate_matrix([[1, 1], [1, 1]])
     deep = cylinder(matrix, (1, 1)).union(cylinder(matrix, (2,) * 20_000))
+    limits = []
+    count_within = TransitionMatrix.count_within
+
+    def recording(self, words, k, limit):
+        limits.append(limit)
+        return count_within(self, words, k, limit)
+
+    monkeypatch.setattr(TransitionMatrix, "count_within", recording)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -200,6 +212,7 @@ def test_disjoint_corners_of_a_deep_target_count_only_what_they_need():
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 2**23, peak
+    assert limits and all(limit < inf for limit in limits), limits
     ones = (1,) * 19_998
     assert [c.code for c in corners] == [
         (ones + (1, 1),), (ones + (1, 2),), (ones + (2, 1),)
@@ -322,6 +335,7 @@ def test_enumerate_tables_all_valid():
     tables = list(search_tables(GOLDEN, 2, 3))
     assert len(tables) > 1
     for t in tables:
+        assert_sorted_form(t)
         validate_table(t.matrix, t.entries)
     # deterministic order
     again = list(search_tables(GOLDEN, 2, 3))
@@ -338,8 +352,8 @@ def test_search_tables_order_matches_oracle():
     ]
     counts = {}
     for matrix, depth, image in cases:
-        got = [(t.depth, t.code) for t in search_tables(matrix, depth, image)]
-        want = [(t.depth, t.code) for t in search_order_oracle(matrix, depth, image)]
+        got = [(t.depth, t.domain, t.images) for t in search_tables(matrix, depth, image)]
+        want = [(t.depth, t.domain, t.images) for t in search_order_oracle(matrix, depth, image)]
         assert got == want, (matrix, depth, image)
         counts[matrix, depth, image] = len(got)
     assert counts[FULL2, 3, 3] == 40443
@@ -352,11 +366,16 @@ def test_search_tables_order_matches_oracle():
         for _ in range(3):
             u = random_clopen(rng, matrix, proper=True)
             v = random_clopen(rng, matrix, proper=True)
-            narrow = maps_onto_candidates(u, v, image)
-            got = [(t.depth, t.code) for t in search_tables(matrix, depth, image, narrow)]
-            want = [(t.depth, t.code) for t in search_order_oracle(matrix, depth, image, narrow)]
+            narrow = maps_onto_candidates(u, v)
+            got = [(t.depth, t.domain, t.images)
+                   for t in search_tables(matrix, depth, image, narrow)]
+            want = [(t.depth, t.domain, t.images)
+                    for t in search_order_oracle(matrix, depth, image, narrow)]
             assert got == want, (matrix, u, v)
-            emptied |= any(not narrow(matrix.words(d)[-2]) for d in range(1, depth + 1))
+            penults = [matrix.words(d)[-2] for d in range(1, depth + 1)]
+            emptied |= any(
+                not narrow(nu, _candidate_images(matrix, nu[-1], image)) for nu in penults
+            )
     assert emptied
 
 

@@ -33,12 +33,14 @@ from helpers import (
     POOL,
     RING3,
     RING4,
+    code_of,
     completion_points,
     enumerate_points,
     maps_agree_oracle,
     merge_families_oracle,
     random_clopen,
     random_table,
+    table_from,
     uniform_compose_oracle,
     uniform_inverse_oracle,
     uniform_order_oracle,
@@ -349,9 +351,9 @@ def test_reduce_exhaustive_on_small_tables():
 def test_reduce_merges_one_child_families():
     # symbol 1 has one follower on RING3, so 12 -> 12 merges into 1 -> 1
     # and the code keeps its size
-    table = TableMap(RING3, 2, {(1, 2): (1, 2), (2,): (3, 2), (3, 1): (3, 1), (3, 2): (2,)})
+    table = table_from(RING3, 2, {(1, 2): (1, 2), (2,): (3, 2), (3, 1): (3, 1), (3, 2): (2,)})
     reduced = {(1,): (1,), (2,): (3, 2), (3, 1): (3, 1), (3, 2): (2,)}
-    assert table.reduce().code == reduced == merge_families_oracle(RING3, table.code)
+    assert code_of(table.reduce()) == reduced == merge_families_oracle(RING3, code_of(table))
     assert table.reduce().depth == 2
 
 
@@ -363,7 +365,7 @@ def test_reduce_undoes_random_splits_exactly():
     for matrix in POOL + [FULL3]:
         for _ in range(25):
             table = random_table(rng, matrix).reduce()
-            code = dict(table.code)
+            code = code_of(table)
             for _ in range(rng.randint(1, 6)):
                 nu = rng.choice(sorted(code))
                 rho = code.pop(nu)
@@ -371,10 +373,10 @@ def test_reduce_undoes_random_splits_exactly():
                     code[nu + (a,)] = rho + (a,)
             items = list(code.items())
             rng.shuffle(items)
-            split = TableMap(matrix, max(map(len, code)), dict(items))
-            assert split.reduce().code == table.code, (matrix, code)
+            split = table_from(matrix, max(map(len, code)), dict(items))
+            assert code_of(split.reduce()) == code_of(table), (matrix, code)
             assert split.reduce().depth == table.depth
-            assert merge_families_oracle(matrix, dict(items)) == table.code
+            assert merge_families_oracle(matrix, dict(items)) == code_of(table)
 
 
 def _assert_matches_oracle(table, depth, entries):
