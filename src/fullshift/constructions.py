@@ -47,10 +47,6 @@ from .sft import (
 )
 from .tables import TableMap, validate_images
 
-# steps of the moved-cylinder shrinking in localize_conjugate, the one
-# search here without an exact bound
-_SHRINK_CAP = 64
-
 
 def _incomparable(a: Word, b: Word) -> bool:
     k = min(len(a), len(b))
@@ -59,24 +55,28 @@ def _incomparable(a: Word, b: Word) -> bool:
 
 def cylinder_swap(matrix: TransitionMatrix, a: Word, b: Word) -> TableMap:
     """The involution exchanging two disjoint cylinders with row-equal ends."""
-    return cylinder_cycle(matrix, [a, b])
+    return cylinder_permutation(matrix, [(a, b)])
 
 
-def cylinder_cycle(matrix: TransitionMatrix, words: Sequence[Word]) -> TableMap:
-    """The permutation cycling a list of pairwise disjoint cylinders whose
-    ending symbols all share one follower row.  Its code is the cycled
-    words plus the pieces of the whole space, cut along them, that miss
-    them all; it is checked in cycle order, then sorted."""
-    if len(words) < 2:
-        raise BadInput("need at least two cylinders to cycle")
-    for i, a in enumerate(words):
-        for b in words[i + 1:]:
-            if not _incomparable(a, b):
-                raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
-        if matrix.row(a[-1]) != matrix.row(words[0][-1]):
+def cylinder_permutation(matrix: TransitionMatrix, cycles: Sequence[Sequence[Word]]) -> TableMap:
+    """The table carrying each word of a cycle onto the next: the words are
+    pairwise disjoint, and within a cycle end in symbols of one follower
+    row.  The other pieces of the whole space, cut along the words, are
+    fixed.  Checked in cycle order, sorted once, returned unreduced."""
+    if not cycles or any(len(cycle) < 2 for cycle in cycles):
+        raise BadInput("need at least one cycle, each of at least two cylinders")
+    domain = [w for cycle in cycles for w in cycle]
+    images = [w for cycle in cycles for w in (*cycle[1:], cycle[0])]
+    words = sorted(domain)
+    # in sorted order a word comes right before the first word extending it
+    for a, b in zip(words, words[1:]):
+        if b[: len(a)] == a:
+            raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
+    for cycle in cycles:
+        if len({matrix.row(w[-1]) for w in cycle}) > 1:
             raise BadInput("cylinder ends have different follower rows")
-    rest = [w for w, k in cut(matrix, sorted(words), EMPTY_WORD) if k < 0]
-    domain, images = [*words, *rest], [*words[1:], words[0], *rest]
+    rest = [w for w, k in cut(matrix, words, EMPTY_WORD) if k < 0]
+    domain, images = [*domain, *rest], [*images, *rest]
     validate_images(matrix, domain, images)
     domain, images = zip(*sorted(zip(domain, images)))
     return TableMap(matrix, max(map(len, words)), domain, images)
@@ -171,8 +171,7 @@ def swap_involution(u: ClopenSet, v: ClopenSet, gamma: TableMap) -> TableMap:
     """Given gamma carrying u onto the disjoint set v, the involution that is
     gamma on u, its inverse on v, and the identity elsewhere.
 
-    Built as the product of the cylinder swaps matched by gamma; the
-    factors have pairwise disjoint supports inside u and v.
+    Built as one table permuting the cylinder pairs matched by gamma.
     """
     if u.is_empty or v.is_empty:
         raise EmptyInput("both clopen sets must be nonempty")
@@ -180,10 +179,7 @@ def swap_involution(u: ClopenSet, v: ClopenSet, gamma: TableMap) -> TableMap:
         raise NotDisjoint("the two clopen sets intersect")
     if gamma.image_clopen(u) != v:
         raise NotAWitness("the supplied map does not carry the first set onto the second")
-    result = TableMap.identity(u.matrix)
-    for nu, rho in matched_partition(gamma, u):
-        result = result.compose(cylinder_swap(u.matrix, nu, rho))
-    return result
+    return cylinder_permutation(u.matrix, matched_partition(gamma, u)).reduce()
 
 
 def check_swap_involution(
@@ -200,14 +196,22 @@ def check_swap_involution(
 # moving one cylinder into an arbitrary clopen set
 
 
+def _landing_word(matrix: TransitionMatrix, nu: Word, target: ClopenSet) -> Word:
+    """The partner of nu in its cylinder involution into a target not inside
+    nu's cylinder: the least target word missing nu, of the least depth
+    >= max(target.depth, 1), then a path back into nu's last symbol.  Such
+    words extend the pieces of the target's code cut along nu that miss
+    nu, so the depth is at least the shortest piece's length."""
+    pieces = [w for c in target.code for w, i in cut(matrix, (nu,), c) if i < 0]
+    depth = max(target.depth, 1, min(map(len, pieces)))
+    mu = next(matrix.extensions(next(p for p in pieces if len(p) <= depth), depth))
+    return mu + connect_path(matrix, mu[-1], nu[-1]) + (nu[-1],)
+
+
 def cylinder_involution(matrix: TransitionMatrix, nu: Word, target: ClopenSet) -> TableMap:
     """An involution sending the cylinder of nu (|nu| > 1) into a clopen set
-    not containing it, supported on the cylinder and its image.
-
-    The image is the cylinder of the least target word disjoint from nu,
-    extended by a connecting path back into nu's final symbol so the two
-    ends share a follower row.  The target is refined no deeper than
-    needed to exhibit a disjoint word.
+    not containing it, supported on the cylinder and its image, which is
+    the cylinder of :func:`_landing_word`.
     """
     nu = tuple(nu)
     if len(nu) <= 1:
@@ -218,15 +222,7 @@ def cylinder_involution(matrix: TransitionMatrix, nu: Word, target: ClopenSet) -
         raise BadInput("target set is empty")
     if target.is_subset_of(cylinder(matrix, nu)):
         raise BadInput("target set lies inside the moved cylinder")
-    # the least target word of the least depth whose cylinder misses nu's
-    start = max(target.depth, 1)
-    depths = range(start, max(len(nu), start) + 1)
-    words = (w for depth in depths for w in target.view(depth) if w[: len(nu)] != nu[: len(w)])
-    mu = next(words, None)
-    if mu is None:
-        raise SearchLimitExceeded("no target word disjoint from the moved cylinder")
-    xi = connect_path(matrix, mu[-1], nu[-1])
-    return cylinder_swap(matrix, nu, mu + xi + (nu[-1],))
+    return cylinder_swap(matrix, nu, _landing_word(matrix, nu, target))
 
 
 def check_cylinder_involution(
@@ -267,9 +263,8 @@ def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
 def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
     """An involution carrying a whole clopen set into a disjoint clopen set.
 
-    The source splits into cylinders; each is moved by a cylinder
-    involution into its own corner of the target, so the pieces have
-    pairwise disjoint supports, commute, and multiply to an involution.
+    The source splits into cylinders; each is swapped, as by a cylinder
+    involution, into its own corner of the target, all in one table.
     """
     matrix = source.matrix
     if source.is_empty or target.is_empty:
@@ -278,10 +273,8 @@ def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
         raise NotDisjoint("source and target intersect")
     sources = list(source.view(max(source.depth, 2)))
     corners = _disjoint_corners(target, len(sources))
-    result = TableMap.identity(matrix)
-    for word, corner in zip(sources, corners):
-        result = result.compose(cylinder_involution(matrix, word, corner))
-    return result
+    pairs = [(w, _landing_word(matrix, w, c)) for w, c in zip(sources, corners)]
+    return cylinder_permutation(matrix, pairs).reduce()
 
 
 def check_clopen_transport(
@@ -445,8 +438,8 @@ def free_pair(region: ClopenSet) -> tuple[TableMap, TableMap, ClopenSet]:
     other = second_return(matrix, u, ret)
     base = stem + ret
     psi = cylinder_swap(matrix, base, stem + other)
-    phi = cylinder_cycle(
-        matrix, [stem + other + other, stem + other + ret, base]
+    phi = cylinder_permutation(
+        matrix, [(stem + other + other, stem + other + ret, base)]
     )
     return psi, phi, cylinder(matrix, base)
 
@@ -501,6 +494,10 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
     """A local element gamma such that the conjugate of eta by gamma moves
     points of u.  When eta already moves points of u the identity is a
     legitimate witness.
+
+    Otherwise u misses eta's support S, and Y lies inside S.  eta(S) = S,
+    since a point is moved exactly when its image is; so Y and eta(Y)
+    miss u, and u's corner U1 and rest U2 serve whole as the sources.
     """
     matrix = eta.matrix
     if u.is_empty:
@@ -517,21 +514,9 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
     u1 = _disjoint_corners(u, 2)[0]
     u2 = u.difference(u1)
     y = _disjoint_moved_cylinder(eta)
-    for _ in range(_SHRINK_CAP):
-        eta_y = eta.image_clopen(y)
-        if not u1.difference(eta_y).is_empty and not u2.difference(y).is_empty:
-            break
-        y = _disjoint_corners(y, 2)[0]
-    else:
-        raise SearchLimitExceeded(
-            f"could not shrink the moved cylinder far enough in {_SHRINK_CAP} steps"
-        )
-    eta_y = eta.image_clopen(y)
-    first_src = u1.difference(eta_y)
-    v1, alpha = involution_into(first_src, y, point_in(first_src))
+    v1, alpha = involution_into(u1, y, point_in(u1))
     bridge = eta.image_clopen(alpha.image_clopen(v1))
-    second_src = u2.difference(y)
-    v2, beta = involution_into(second_src, bridge, point_in(second_src))
+    v2, beta = involution_into(u2, bridge, point_in(u2))
     return alpha.compose(beta)
 
 

@@ -16,8 +16,8 @@ every domain word to all of its admissible extensions of that length gives
 the uniform view: the form of the ``L depth`` text files and of cocycle
 tables.  The code is the only form a table stores; the view is computed
 from it, in sorted order, each time it is read, and never kept.  Only an
-inverse, a validated file and a cylinder cycle sort their pairs; every
-other table is built with its domain in order.
+inverse, a validated file and a cylinder permutation sort their pairs;
+every other table is built with its domain in order.
 
 Group structure is exact.  Composition and inversion work on the codes,
 and reduction merges complete sibling families bottom-up into the unique

@@ -20,7 +20,7 @@ from fullshift import (
 )
 from fullshift.constructions import cylinder_swap
 from fullshift.invariants import determinant
-from fullshift.sft import first_return, format_word
+from fullshift.sft import connect_path, first_return, format_word
 
 FULL2 = validate_matrix([[1, 1], [1, 1]])
 GOLDEN = validate_matrix([[1, 1], [1, 0]])
@@ -369,6 +369,19 @@ def moved_cylinder_oracle(table: TableMap, cap: int = 64):
     return None
 
 
+def landing_word_oracle(matrix: TransitionMatrix, nu, target: ClopenSet):
+    """The partner of nu in a cylinder involution into the target, by the
+    former library walk: the least target word disjoint from nu at the
+    least depth from max(target.depth, 1) up, listing every target word of
+    each depth, then the connecting path back into nu's last symbol."""
+    start = max(target.depth, 1)
+    for depth in range(start, max(len(nu), start) + 1):
+        for mu in sorted(w for c in target.code for w in words_oracle(matrix, c, depth)):
+            if mu[: len(nu)] != nu[: len(mu)]:
+                return mu + connect_path(matrix, mu[-1], nu[-1]) + (nu[-1],)
+    return None
+
+
 def matched_partition_oracle(gamma: TableMap, u: ClopenSet, min_len: int = 2):
     """The former library walk for ``constructions.matched_partition``: down
     from the root, a word inside u is taken once it has length >= min_len
@@ -628,6 +641,16 @@ def uniform_compose_oracle(outer: TableMap, inner: TableMap):
                 stack.append((n + (a,), r + (a,)))
     depth = max(len(n) for n, _ in flat)
     return uniform_reduce_oracle(matrix, depth, _uniform_refine(matrix, flat, depth))
+
+
+def product_fold_oracle(matrix: TransitionMatrix, factors) -> tuple[int, dict]:
+    """The product of tables folded one factor at a time from the identity,
+    each step outer-after-inner by :func:`uniform_compose_oracle`, as
+    (depth, uniform view); the identity when there is no factor."""
+    depth, view = 0, {(): ()}
+    for factor in factors:
+        depth, view = uniform_compose_oracle(table_from(matrix, depth, view), factor)
+    return depth, view
 
 
 def uniform_inverse_oracle(table: TableMap):

@@ -84,6 +84,21 @@ def test_tracer_spans_table_reduction_apart_from_clopen_canonicalization():
     assert totals["sft.canonicalize_clopen"][0] == before
 
 
+def test_tracer_spans_one_table_products_as_builds():
+    # clopen_transport and swap_involution build their product of swaps as
+    # one table, calling no other wrapped builder; each call must still
+    # open its own constructions.build span
+    u, w = cylinder(FULL2, (1, 1)).union(cylinder(FULL2, (2, 2))), cylinder(FULL2, (1, 2))
+    with traced() as tracer:
+        alpha = cons.clopen_transport(u, w)
+        before = tracer.totals()["constructions.build"][0]
+        v = alpha.image_clopen(u)
+        assert cons.swap_involution(u, v, alpha).same_map(alpha)
+        totals = tracer.totals()
+    assert before == 1
+    assert totals["constructions.build"][0] == 2
+
+
 def test_bench_selftest_passes():
     # the harness's own tests: percentiles, self time, failure ratios and
     # instance pools that do not depend on PYTHONHASHSEED

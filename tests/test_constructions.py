@@ -11,6 +11,7 @@ import pytest
 from fullshift import (
     BadInput,
     EPPoint,
+    InadmissibleWord,
     NotDisjoint,
     PreconditionFailed,
     TableMap,
@@ -22,6 +23,7 @@ from fullshift.constructions import (
     _candidate_images,
     _disjoint_corners,
     _disjoint_moved_cylinder,
+    _landing_word,
     check_clopen_transport,
     check_cylinder_involution,
     check_free_pair,
@@ -33,6 +35,7 @@ from fullshift.constructions import (
     check_swap_involution,
     clopen_transport,
     cylinder_involution,
+    cylinder_permutation,
     cylinder_swap,
     free_pair,
     involution_into,
@@ -60,15 +63,21 @@ from helpers import (
     RING3,
     SMALL_POOL,
     assert_sorted_form,
+    enumerate_points,
+    ep_apply_oracle,
+    landing_word_oracle,
     long_cycle,
     matched_partition_oracle,
     minimality_source_oracle,
     moved_cylinder_oracle,
+    product_fold_oracle,
     proper_subcylinder_oracle,
     random_clopen,
     random_matrix,
     random_table,
     search_order_oracle,
+    swap_inside,
+    uniform_view_oracle,
 )
 
 
@@ -129,6 +138,131 @@ def test_cylinder_involution_examples():
         cylinder_involution(FULL2, (1, 1), cylinder(FULL2, (1, 1)))
     with pytest.raises(BadInput):
         cylinder_involution(FULL2, (1,), cylinder(FULL2, (2,)))
+
+
+def test_landing_word_matches_the_former_walk():
+    # the cut along nu finds the partner the former walk over every target
+    # word of each depth found
+    rng = random.Random(16)
+    seen = 0
+    for matrix in POOL + [FULL3]:
+        words = [w for k in (2, 3) for w in matrix.words(k)]
+        for _ in range(40):
+            nu = rng.choice(words)
+            target = random_clopen(rng, matrix, max_depth=rng.choice([1, 2, 4]))
+            if target.is_subset_of(cylinder(matrix, nu)):
+                continue
+            want = landing_word_oracle(matrix, nu, target)
+            assert _landing_word(matrix, nu, target) == want, (matrix, nu, target)
+            seen += 1
+    assert seen > 200
+
+
+def test_cylinder_involution_lands_without_walking_the_target(monkeypatch):
+    # the target misses only [2^40]; listing its words of depth 40 to find
+    # one that misses nu = 1,1 would pass the 2^38 words under nu first
+    extensions = TransitionMatrix.extensions
+    yielded = 0
+
+    def bounded(self, word, target_len):
+        nonlocal yielded
+        for w in extensions(self, word, target_len):
+            yielded += 1
+            if yielded > 10_000:
+                raise AssertionError("more than 10,000 words enumerated")
+            yield w
+
+    monkeypatch.setattr(TransitionMatrix, "extensions", bounded)
+    target = cylinder(FULL2, (2,) * 40).complement()
+    alpha = cylinder_involution(FULL2, (1, 1), target)
+    assert alpha.word_image((1, 1)) == (1, 2) + (1,) * 39
+    monkeypatch.undo()
+    assert_all(check_cylinder_involution(FULL2, (1, 1), target, alpha))
+
+
+def test_cylinder_permutation_examples_and_diagnoses():
+    swap = validate_table(FULL2, {(1,): (2,), (2,): (1,)})
+    assert cylinder_permutation(FULL2, [((1,), (2,))]) == swap
+    # two cycles whose rows differ from each other, each row-equal inside
+    cycles = [((1, 1, 1), (2, 1, 1)), ((1, 2), (2, 1, 2))]
+    table = cylinder_permutation(GOLDEN, cycles)
+    assert_sorted_form(table)
+    validate_table(GOLDEN, table.entries)
+    swaps = [cylinder_swap(GOLDEN, a, b) for a, b in cycles]
+    assert (table.depth, uniform_view_oracle(table)) == product_fold_oracle(GOLDEN, swaps)
+    three = cylinder_permutation(FULL2, [((1, 1), (1, 2), (2,))])
+    assert three.order(4) == 3
+
+    def raised(cycles, matrix=FULL2):
+        with pytest.raises(Exception) as info:
+            cylinder_permutation(matrix, cycles)
+        return info.type, str(info.value)
+
+    assert raised([((1, 1),)])[0] is BadInput
+    assert raised([])[0] is BadInput
+    # 1 ends in the row (1, 1) of GOLDEN, 2 in the row (1, 0)
+    assert raised([((1,), (2,))], GOLDEN)[0] is BadInput
+    # nested words in two different cycles, named in sorted order
+    assert raised([((1,), (2, 1)), ((2, 2), (1, 2))]) == (
+        NotDisjoint, "cylinders 1 and 1,2 intersect"
+    )
+    assert raised([((2, 2), (1, 2))], GOLDEN)[0] is InadmissibleWord
+
+
+def test_one_table_products_match_the_compose_fold():
+    # swap_involution, clopen_transport and minimality_witness build their
+    # product of disjoint swaps as one table; folding the swaps one compose
+    # at a time gives the same reduced code
+    rng = random.Random(16)
+
+    def matches(table, factors):
+        got = (table.depth, uniform_view_oracle(table))
+        return got == product_fold_oracle(table.matrix, factors)
+
+    def transport_swaps(source, target):
+        words = list(source.view(max(source.depth, 2)))
+        corners = _disjoint_corners(target, len(words))
+        return [cylinder_involution(source.matrix, w, c) for w, c in zip(words, corners)]
+
+    for _ in range(80):
+        matrix = rng.choice(POOL)
+        u = random_clopen(rng, matrix, proper=True)
+        w = u.complement()
+        alpha = clopen_transport(u, w)
+        assert matches(alpha, transport_swaps(u, w)), (matrix, u)
+
+        gamma = random_table(rng, matrix)
+        if not gamma.image_clopen(u).intersection(u).is_empty:
+            gamma = alpha
+        v = gamma.image_clopen(u)
+        swaps = [cylinder_swap(matrix, nu, rho) for nu, rho in matched_partition(gamma, u)]
+        assert matches(swap_involution(u, v, gamma), swaps), (matrix, u, gamma)
+
+        x = random_clopen(rng, matrix)
+        source = minimality_source(u, x)
+        swaps = [] if u.is_subset_of(x) else transport_swaps(source, x)
+        assert matches(minimality_witness(u, x), swaps), (matrix, u, x)
+
+
+def test_clopen_transport_of_many_pieces_composes_nothing(monkeypatch):
+    # [1] - [1^12] has 2,047 cylinders at depth 12; folding their swaps one
+    # compose at a time grew faster than quadratically in the pieces
+    compose = TableMap.compose
+    calls = 0
+
+    def counting(self, inner):
+        nonlocal calls
+        calls += 1
+        return compose(self, inner)
+
+    monkeypatch.setattr(TableMap, "compose", counting)
+    u = cylinder(FULL2, (1,)).difference(cylinder(FULL2, (1,) * 12))
+    w = cylinder(FULL2, (2,))
+    alpha = clopen_transport(u, w)
+    assert calls == 0
+    monkeypatch.undo()
+    assert len(list(u.view(12))) == 2047
+    assert_all(check_clopen_transport(u, w, alpha))
 
 
 def test_clopen_transport_examples():
@@ -278,6 +412,35 @@ def test_free_pair_examples():
     for region in [full_space(FULL2), cylinder(FULL2, (1,)), cylinder(GOLDEN, (2,))]:
         psi, phi, base = free_pair(region)
         assert_all(check_free_pair(region, psi, phi, base))
+
+
+def test_moved_cylinder_and_its_image_stay_in_an_invariant_support():
+    # localize_conjugate moves U's pieces straight into Y and eta(Y): U
+    # misses the support S, Y lies inside S, and eta(S) = S, since a point
+    # is moved exactly when its image is
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        matrix = rng.choice(POOL)
+        region = random_clopen(rng, matrix, max_depth=2)
+        first, second = swap_inside(rng, region), swap_inside(rng, region)
+        if first is None or second is None:
+            continue
+        for eta in (first, first.compose(second)):
+            if eta.reduce().is_identity:
+                continue
+            support = eta.support()
+            y = _disjoint_moved_cylinder(eta)
+            assert y.is_subset_of(support), (eta, y)
+            assert eta.image_clopen(support) == support, eta
+            assert eta.image_clopen(y).intersection(y).is_empty, (eta, y)
+            for x in enumerate_points(matrix, 3, 2):
+                image = ep_apply_oracle(eta, x)
+                assert support.contains_point(image) == support.contains_point(x)
+                if not support.contains_point(x):
+                    assert image == x
+            checked += 1
+    assert checked > 40
 
 
 def test_localize_conjugate_examples():
