@@ -133,8 +133,7 @@ def _add_support(report: Report, table: TableMap) -> ClopenSet:
 
 
 def _add_cocycles(report: Report, cocycles: CocycleTable) -> None:
-    for w in sorted(cocycles.values):
-        k, l = cocycles.values[w]
+    for w, (k, l) in cocycles.values.items():
         report.add("COCYCLE", f"{format_word(w)} k={k} l={l}")
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import (
     BadInput,
     EmptyInput,
+    InadmissibleWord,
     NotAWitness,
     NotDisjoint,
     PreconditionFailed,
@@ -45,7 +46,7 @@ from .sft import (
     point_in,
     second_return,
 )
-from .tables import TableMap, validate_images
+from .tables import TableMap
 
 
 def _incomparable(a: Word, b: Word) -> bool:
@@ -59,26 +60,35 @@ def cylinder_swap(matrix: TransitionMatrix, a: Word, b: Word) -> TableMap:
 
 
 def cylinder_permutation(matrix: TransitionMatrix, cycles: Sequence[Sequence[Word]]) -> TableMap:
-    """The table carrying each word of a cycle onto the next: the words are
-    pairwise disjoint, and within a cycle end in symbols of one follower
-    row.  The other pieces of the whole space, cut along the words, are
-    fixed.  Checked in cycle order, sorted once, returned unreduced."""
+    """The table carrying each word of a cycle onto the next; the other
+    pieces of the space, cut along the words, are fixed.  Checked in this
+    order: the cycle shapes, that the words are disjoint, each image's
+    admissibility in image order, one follower row per cycle.  The table is
+    sorted once, returned unreduced and needs no image check: the words are
+    admissible and disjoint, so with the pieces of ``cut(matrix, words, ())``
+    of index -1 they form a complete prefix code; the images permute that
+    code (each cycle rotated, the other pieces fixed), so they are disjoint
+    and cover the space; each cycle has one follower row, so every entry's
+    rows match; and two disjoint words are never empty, so no image is."""
     if not cycles or any(len(cycle) < 2 for cycle in cycles):
         raise BadInput("need at least one cycle, each of at least two cylinders")
-    domain = [w for cycle in cycles for w in cycle]
     images = [w for cycle in cycles for w in (*cycle[1:], cycle[0])]
-    words = sorted(domain)
+    pairs = sorted(zip((w for cycle in cycles for w in cycle), images))
+    words = [w for w, _ in pairs]
     # in sorted order a word comes right before the first word extending it
     for a, b in zip(words, words[1:]):
         if b[: len(a)] == a:
             raise NotDisjoint(f"cylinders {format_word(a)} and {format_word(b)} intersect")
+    for rho in images:
+        if not matrix.is_admissible(rho):
+            raise InadmissibleWord(f"image {format_word(rho)} is not admissible")
     for cycle in cycles:
         if len({matrix.row(w[-1]) for w in cycle}) > 1:
             raise BadInput("cylinder ends have different follower rows")
-    rest = [w for w, k in cut(matrix, words, EMPTY_WORD) if k < 0]
-    domain, images = [*domain, *rest], [*images, *rest]
-    validate_images(matrix, domain, images)
-    domain, images = zip(*sorted(zip(domain, images)))
+    pieces = cut(matrix, words, EMPTY_WORD)
+    # the given words, not cut's copies of them, so the images share them
+    domain = tuple(w if k < 0 else words[k] for w, k in pieces)
+    images = tuple(w if k < 0 else pairs[k][1] for w, k in pieces)
     return TableMap(matrix, max(map(len, words)), domain, images)
 
 

@@ -363,22 +363,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _primary_split(torsion: tuple[int, ...], part: tuple[int, ...]):
-    """Decompose torsion coordinates into primary components per prime."""
-    primes = sorted({p for d in torsion for p in _prime_factors(d)})
-    out = {}
-    for p in primes:
-        exps = []
-        comps = []
-        for d, c in zip(torsion, part):
-            e = _vp(d, p)
-            if e:
-                exps.append(e)
-                comps.append(c % p**e)
-        out[p] = (exps, tuple(comps))
-    return out
-
-
 def _torsion_match(
     torsion: tuple[int, ...],
     a: tuple[int, ...],
@@ -401,20 +385,22 @@ def _torsion_match(
     dominate also has w >= v, so the undominated pairs with w_i < v decide
     the orbit of x + p^v T_p.
     """
-    split_b = _primary_split(torsion, b)
-    for p, (exps, comp_a) in _primary_split(torsion, a).items():
-        comp_b = split_b[p][1]
+    for p in {p for d in torsion for p in _prime_factors(d)}:
         v = _vp(modulus, p) if modulus else inf
-        if _primary_type(p, exps, comp_a, v) != _primary_type(p, exps, comp_b, v):
+        if _primary_type(torsion, a, p, v) != _primary_type(torsion, b, p, v):
             return False
     return True
 
 
-def _primary_type(p: int, exps: list[int], comps: tuple[int, ...], v: float) -> set:
-    """The undominated pairs (v_p(x_i), e_i) of the nonzero components with
-    v_p(x_i) < v."""
-    pairs = {(_vp(x, p), e) for x, e in zip(comps, exps) if x}
-    kept = {(w, e) for w, e in pairs if w < v}
+def _primary_type(torsion: tuple[int, ...], x: tuple[int, ...], p: int, v: float) -> set:
+    """The undominated pairs (v_p(x_i), e_i), e_i = v_p(torsion[i]), of the nonzero
+    p-primary components x_i = x mod p^e_i of x with v_p(x_i) < v."""
+    kept = set()
+    for d, c in zip(torsion, x):
+        e = _vp(d, p)
+        c %= p**e  # 0 when p does not divide d
+        if c and (w := _vp(c, p)) < v:
+            kept.add((w, e))
     return {
         (w, e)
         for w, e in kept
@@ -590,13 +576,10 @@ def gamma_equivalent(
             f"cokernel classes differ: {cu.coords} vs {cv.coords}",
         )
 
-    def visit(t: TableMap):
-        if t.image_clopen(u) == v:
-            return t
-        return None
-
+    # the filter is exact: a table passing it carries u into v and the rest
+    # off v, so, a bijection, onto v; only the identity skips it, and u != v
     found = _run_search(
-        matrix, depth_bound, image_bound, visit,
+        matrix, depth_bound, image_bound, lambda t: None if t.is_identity else t,
         candidate_filter=maps_onto_candidates(u, v),
     )
     if found is not None:

@@ -47,11 +47,13 @@ class TransitionMatrix:
     """A validated N x N 0-1 matrix: essential, irreducible, not a permutation.
 
     Symbols are the integers 1..N.  Instances are immutable and hashable;
-    use :func:`validate_matrix` to build one from raw rows.  Its tables are
-    built once; only :meth:`words` caches, for short lengths.
+    use :func:`validate_matrix` to build one from raw rows.  The follower
+    relation is stored once: ``_succ[a]`` lists the followers of a in
+    increasing order, ``_succ[0]`` every symbol.  Only :meth:`words`
+    caches, for short lengths.
     """
 
-    __slots__ = ("n", "entries", "_succ", "after", "_words")
+    __slots__ = ("n", "entries", "_succ", "_words")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         self.n = len(entries)
@@ -59,9 +61,6 @@ class TransitionMatrix:
         self._succ = (tuple(range(1, self.n + 1)),) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in entries
         )
-        # after[a][b]: the follower of a next after b (the least for b = 0),
-        # 0 after the last; a = 0 stands for the empty word
-        self.after = tuple(dict(zip((0,) + r, r + (0,))) for r in self._succ)
         self._words: dict[int, tuple[Word, ...]] = {}
 
     def __eq__(self, other):
@@ -437,7 +436,7 @@ def merge_siblings(
     the parent is empty: then the images cover the space); the parent's
     image then goes into ``moved``.
     """
-    after = matrix.after
+    succ = matrix._succ
     stack: list[Word] = []
     runs: list[int] = []  # runs[i]: stack[i] and its siblings right below it
     for w in words:
@@ -448,8 +447,8 @@ def merge_siblings(
             parent = w[:-1]
             top = stack[-1] if stack else EMPTY_WORD
             run = runs[-1] + 1 if len(top) == len(w) and top[:-1] == parent else 1
-            up = after[parent[-1] if parent else 0]
-            if up[w[-1]] or run < len(up) - 1:
+            up = succ[parent[-1] if parent else 0]
+            if up[-1] != w[-1] or run < len(up):
                 break  # not the last child, or a sibling is missing
             if moved:  # else every word is fixed, and every family merges
                 image = moved.get(w, w)[:-1]
@@ -609,22 +608,22 @@ def least_gap(matrix: TransitionMatrix, words: list[Word]) -> Word | None:
     prefix of p and the word.  The cost is linear in the total length of
     the words, with no counts.
     """
-    after = matrix.after
+    succ = matrix._succ
     gap: Word | None = EMPTY_WORD
     for w in words:
         if w[: len(gap)] != gap[: len(w)]:
             return gap
         prev = gap[-1] if gap else 0
         for i in range(len(gap), len(w)):
-            least = after[prev][0]
+            least = succ[prev][0]
             prev = w[i]
             if prev != least:
                 return w[:i] + (least,)
         gap = None
         for k in range(len(w) - 1, -1, -1):
-            b = after[w[k - 1] if k else 0][w[k]]
-            if b:
-                gap = w[:k] + (b,)
+            up = succ[w[k - 1] if k else 0]
+            if (j := bisect_right(up, w[k])) < len(up):
+                gap = w[:k] + (up[j],)
                 break
     return gap
 
@@ -676,22 +675,27 @@ def distinct_path_pair(matrix: TransitionMatrix, frm: int) -> tuple[Word, Word, 
     """Two distinct equal-length words s, s' leaving `frm` and feeding the
     same symbol u: A(frm,s1) = A(frm,s'1) = A(sk,u) = A(s'k,u) = 1.
 
-    The search tries lengths 1, 2, ... up to n*n + n, every word of each
-    length.  A level of more than n words holds two that end in the same
-    symbol, and those two are a pair; so every level it extends has at most
-    n words, and the next at most n*n.  Every word reaches a branching
-    symbol within n steps, so the level size doubles every n lengths and
-    exceeds n well within the bound.
+    The search tries lengths 1, 2, ... up to n*n + n, each level in sorted
+    order, stepping the least word per end symbol by
+    :func:`_extend_least_words`; up to the first level holding a pair that
+    is every word.  Two words of length k + 1 ending in b have length-k
+    prefixes that both feed b, a pair or one word; below the first pair they
+    are one, so the two words are equal.  A level before the first pair has
+    at most n words, whose ends share no follower, so the next has at least
+    as many, and more once a word ends at a branching symbol, which every
+    word reaches within n steps; so a level would pass n words, and hold a
+    pair, within n*n lengths.
     """
     cap = matrix.n * matrix.n + matrix.n
-    level: list[Word] = [(a,) for a in matrix.successors(frm)]
+    best = {a: (a,) for a in matrix.successors(frm)}
     for _ in range(cap):
+        level = sorted(best.values())
         for i, s in enumerate(level):
             for sp in level[i + 1 :]:
                 common = sorted(set(matrix.successors(s[-1])) & set(matrix.successors(sp[-1])))
                 if common:
                     return s, sp, common[0]
-        level = sorted(w + (a,) for w in level for a in matrix.successors(w[-1]))
+        best = _extend_least_words(matrix, best)
     raise SearchLimitExceeded(
         f"no distinct path pair from {frm} within length {cap}; condition (I) violated?"
     )

@@ -351,8 +351,8 @@ class FixedSet:
 
 @dataclass
 class CocycleTable:
-    """Per-cylinder orbit cocycle constants (k, l): shifting the image by k
-    equals shifting the point by l, on every point of the cylinder."""
+    """Per-cylinder orbit cocycle constants (k, l), in sorted word order:
+    shifting the image by k equals shifting the point by l there."""
 
     depth: int
     values: dict[Word, tuple[int, int]]

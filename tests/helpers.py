@@ -248,6 +248,23 @@ def second_return_oracle(matrix: TransitionMatrix, sym: int, ret):
     return None
 
 
+def distinct_path_pair_oracle(matrix: TransitionMatrix, frm: int):
+    """The first two distinct equal-length words leaving frm whose last
+    symbols share a follower, with their least common follower, by listing
+    every admissible word of each length in lexicographic order and trying
+    the pairs in order (the former library search)."""
+    symbols = range(1, matrix.n + 1)
+    level = [(a,) for a in symbols if matrix.arc(frm, a)]
+    for _ in range(matrix.n * matrix.n + matrix.n):
+        for i, s in enumerate(level):
+            for sp in level[i + 1 :]:
+                common = [u for u in symbols if matrix.arc(s[-1], u) and matrix.arc(sp[-1], u)]
+                if common:
+                    return s, sp, common[0]
+        level = [w + (a,) for w in level for a in symbols if matrix.arc(w[-1], a)]
+    return None
+
+
 def uniform_clopen_oracle(matrix: TransitionMatrix, raw) -> tuple[int, frozenset]:
     """The least uniform form (depth, words) of a union of cylinders: words
     padded to the common maximum depth by all admissible extensions, then

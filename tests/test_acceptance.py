@@ -370,10 +370,11 @@ def test_support_and_fixed_sets():
         support, fixed = t.support_and_fixed()
         bound = t.depth + 3
         points = enumerate_points(matrix, bound, bound)
-        moved = [x for x in points if t.apply(x) != x]
+        is_fixed = [t.apply(x) == x for x in points]
+        moved = [x for x, f in zip(points, is_fixed) if not f]
         isolated = set(fixed.isolated)
-        for x in points:
-            if t.apply(x) == x:
+        for x, f in zip(points, is_fixed):
+            if f:
                 if not fixed.clopen_part.contains_point(x) and x not in isolated:
                     failures.append((i, "fixed point unaccounted", x))
                     break

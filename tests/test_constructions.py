@@ -49,8 +49,8 @@ from fullshift.constructions import (
     witness_search,
 )
 from fullshift.invariants import maps_onto_candidates
-from fullshift.sft import TransitionMatrix, point_in
-from fullshift.tables import validate_table
+from fullshift.sft import TransitionMatrix, format_word, least_gap, point_in
+from fullshift.tables import validate_images, validate_table
 
 from helpers import (
     DENSE3,
@@ -207,6 +207,84 @@ def test_cylinder_permutation_examples_and_diagnoses():
         NotDisjoint, "cylinders 1 and 1,2 intersect"
     )
     assert raised([((2, 2), (1, 2))], GOLDEN)[0] is InadmissibleWord
+
+
+def test_cylinder_permutation_rejects_out_of_range_symbols():
+    # the row check used to index an out-of-range symbol before anything
+    # checked admissibility: n + 1 raised IndexError, 0 read the last row
+    for matrix in (FULL2, FULL3):
+        for base in (((1, 1), (2, 2)), ((1, 1), (1, 2), (2, 1))):
+            for bad in (0, matrix.n + 1, -1):
+                for i, word in enumerate(base):
+                    for j in range(len(word)):
+                        wrong = word[:j] + (bad,) + word[j + 1 :]
+                        cycle = base[:i] + (wrong,) + base[i + 1 :]
+                        with pytest.raises(InadmissibleWord) as info:
+                            cylinder_permutation(matrix, [cycle])
+                        assert str(info.value) == f"image {format_word(wrong)} is not admissible"
+
+
+def test_cylinder_permutation_runs_no_cover_check(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return least_gap(*args)
+
+    monkeypatch.setattr("fullshift.tables.least_gap", counting)
+    cylinder_permutation(FULL2, [((1, 1), (1, 2), (2,))])
+    cylinder_permutation(GOLDEN, [((1, 1, 1), (2, 1, 1)), ((1, 2), (2, 1, 2))])
+    cylinder_swap(DENSE3, (1,), (3, 1))
+    assert calls == 0
+    # the counter sees the check where it still runs
+    validate_table(FULL2, {(1,): (2,), (2,): (1,)})
+    assert calls > 0
+
+
+def _random_cycles(rng, matrix):
+    """Random cycles of pairwise disjoint words of length 1-3, each cycle
+    inside one follower row, or None when no row gets two words."""
+    words = [w for k in (1, 2, 3) for w in matrix.words(k)]
+    rng.shuffle(words)
+    size, chosen = rng.randint(2, 7), []
+    for w in words:
+        if len(chosen) < size and all(w[: len(c)] != c and c[: len(w)] != w for c in chosen):
+            chosen.append(w)
+    by_row: dict = {}
+    for w in chosen:
+        by_row.setdefault(matrix.row(w[-1]), []).append(w)
+    cycles = []
+    for group in by_row.values():
+        if len(group) >= 4 and rng.random() < 0.5:
+            cycles += [tuple(group[:2]), tuple(group[2:])]
+        elif len(group) >= 2:
+            cycles.append(tuple(group))
+    rng.shuffle(cycles)
+    return cycles or None
+
+
+def test_cylinder_permutation_is_a_valid_product_of_swaps():
+    # the image check is gone from the construction; the images still pass
+    # it, and the table is the product of the swaps along each cycle
+    rng = random.Random(1717)
+    built = 0
+    for matrix in POOL:
+        for _ in range(30):
+            cycles = _random_cycles(rng, matrix)
+            if cycles is None:
+                continue
+            table = cylinder_permutation(matrix, cycles)
+            validate_images(matrix, table.domain, table.images)
+            assert_sorted_form(table)
+            assert table.depth == max(len(w) for cycle in cycles for w in cycle)
+            # w0 -> w1 -> ... -> w0 is swap(w0, w1) after swap(w1, w2) after ...
+            swaps = [cylinder_swap(matrix, a, b) for c in cycles for a, b in zip(c, c[1:])]
+            reduced = table.reduce()
+            got = (reduced.depth, uniform_view_oracle(reduced))
+            assert got == product_fold_oracle(matrix, swaps), (matrix, cycles)
+            built += 1
+    assert built >= 100
 
 
 def test_one_table_products_match_the_compose_fold():

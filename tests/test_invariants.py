@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from fullshift import (
+    TableMap,
     bowen_franks,
     clopen_class,
     cylinder,
@@ -454,6 +455,24 @@ def test_gamma_equivalent_witnesses_verify():
         result = gamma_equivalent(u, v, depth_bound=2, image_bound=3)
         if result.status == "equivalent":
             assert result.witness.image_clopen(u) == v
+
+
+def test_gamma_equivalent_trusts_its_filter(monkeypatch):
+    # the filter admits only tables carrying u onto v, so no image is taken
+    image_clopen = TableMap.image_clopen
+    calls = 0
+
+    def counting(self, clopen):
+        nonlocal calls
+        calls += 1
+        return image_clopen(self, clopen)
+
+    monkeypatch.setattr(TableMap, "image_clopen", counting)
+    u, v = cylinder(FULL2, (1,)), cylinder(FULL2, (2,))
+    result = gamma_equivalent(u, v)
+    assert calls == 0
+    assert result.status == "equivalent"
+    assert image_clopen(result.witness, u) == v
 
 
 def test_gamma_equivalent_witness_matches_search_oracle():

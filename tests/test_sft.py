@@ -42,6 +42,7 @@ from helpers import (
     FULL4,
     GOLDEN,
     POOL,
+    distinct_path_pair_oracle,
     ep_apply_oracle,
     ep_oracle,
     ep_prefix_oracle,
@@ -338,6 +339,16 @@ def test_distinct_path_pair_postconditions_randomized():
         assert s != sp and len(s) == len(sp)
         assert matrix.is_admissible((frm,) + s + (u,))
         assert matrix.is_admissible((frm,) + sp + (u,))
+
+
+def test_distinct_path_pair_matches_enumeration_oracle():
+    # the least word per end symbol is every word of each level it tries
+    rng = random.Random(675)
+    matrices = list(POOL) + [random_matrix(rng, n) for n in range(2, 8) for _ in range(25)]
+    for matrix in matrices:
+        for frm in matrix.symbols():
+            expected = distinct_path_pair_oracle(matrix, frm)
+            assert distinct_path_pair(matrix, frm) == expected, (matrix.entries, frm)
 
 
 def test_eppoint_canonical_form():

@@ -172,6 +172,17 @@ def test_cocycles_spec_cases():
     }
 
 
+def test_cocycles_come_in_sorted_order():
+    # the CLI prints the cocycle lines in the order of the dict
+    rng = random.Random(135)
+    for matrix in POOL:
+        for _ in range(20):
+            table = random_table(rng, matrix)
+            for t in (table, table.inverse(), table.refine_to(table.depth + 2)):
+                words = list(t.cocycles().values)
+                assert words == sorted(words)
+
+
 def test_cocycle_equation_on_points():
     for table in (SWAP, WORKED):
         cocycles = table.cocycles()
