@@ -134,13 +134,24 @@ def check_involution_into(
     neighbourhood: ClopenSet,
     alpha: TableMap,
 ) -> list[tuple[str, bool]]:
-    image = alpha.image_clopen(neighbourhood)
     return [
         ("x in V", neighbourhood.contains_point(x)),
         ("V inside source", neighbourhood.is_subset_of(source)),
-        ("alpha(V) inside target", image.is_subset_of(target)),
+        *_involution_checks(alpha, neighbourhood, "V", target, "target"),
+    ]
+
+
+def _involution_checks(
+    alpha: TableMap, source: ClopenSet, s: str, target: ClopenSet, t: str
+) -> list[tuple[str, bool]]:
+    """The checks of an involution moving a source into a target, which the
+    check names call s and t: the image lies in the target, alpha has order
+    2, and it moves only points of the source and of its image."""
+    image = alpha.image_clopen(source)
+    return [
+        (f"alpha({s}) inside {t}", image.is_subset_of(target)),
         ("alpha has order 2", alpha.order(2) == 2),
-        ("support inside V and alpha(V)", alpha.support().is_subset_of(neighbourhood.union(image))),
+        (f"support inside {s} and alpha({s})", alpha.support().is_subset_of(source.union(image))),
     ]
 
 
@@ -148,16 +159,14 @@ def check_involution_into(
 # the canonical involution exchanging two equivalent disjoint clopen sets
 
 
-def matched_partition(
-    gamma: TableMap, u: ClopenSet, min_len: int = 2
-) -> list[tuple[Word, Word]]:
+def matched_partition(gamma: TableMap, u: ClopenSet) -> list[tuple[Word, Word]]:
     """Cylinder pairs (nu_i, rho_i) with the U_nu_i partitioning u, their
-    images U_rho_i the gamma-images, both sides of length >= min_len.
+    images U_rho_i the gamma-images, both sides of length >= 2.
 
     Each code word of u is cut along the domain of gamma's reduced code,
     so every piece lies in one domain cylinder and is carried onto a
-    cylinder by a prefix rewrite; a pair with a side shorter than min_len
-    is then split into its children.  The pairs are the shallowest words
+    cylinder by a prefix rewrite; a pair with a side shorter than 2 is
+    then split into its children.  The pairs are the shallowest words
     inside u with both properties, in sorted order.
     """
     matrix = gamma.matrix
@@ -169,7 +178,7 @@ def matched_partition(
     pairs = []
     while pending:
         nu, rho = pending.pop()
-        if len(nu) < min_len or len(rho) < min_len:
+        if len(nu) < 2 or len(rho) < 2:
             succ = matrix.successors(nu[-1] if nu else 0)
             pending.extend((nu + (a,), rho + (a,)) for a in succ)
         else:
@@ -238,13 +247,7 @@ def cylinder_involution(matrix: TransitionMatrix, nu: Word, target: ClopenSet) -
 def check_cylinder_involution(
     matrix: TransitionMatrix, nu: Word, target: ClopenSet, alpha: TableMap
 ) -> list[tuple[str, bool]]:
-    source = cylinder(matrix, tuple(nu))
-    image = alpha.image_clopen(source)
-    return [
-        ("alpha(U_nu) inside V", image.is_subset_of(target)),
-        ("alpha has order 2", alpha.order(2) == 2),
-        ("support inside U_nu and alpha(U_nu)", alpha.support().is_subset_of(source.union(image))),
-    ]
+    return _involution_checks(alpha, cylinder(matrix, tuple(nu)), "U_nu", target, "V")
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +293,7 @@ def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
 def check_clopen_transport(
     source: ClopenSet, target: ClopenSet, alpha: TableMap
 ) -> list[tuple[str, bool]]:
-    image = alpha.image_clopen(source)
-    return [
-        ("alpha(U) inside W", image.is_subset_of(target)),
-        ("alpha has order 2", alpha.order(2) == 2),
-        ("support inside U and alpha(U)", alpha.support().is_subset_of(source.union(image))),
-    ]
+    return _involution_checks(alpha, source, "U", target, "W")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 For an ambient matrix A of size N the group is the cokernel of A^t - I_N
 acting on integer vectors, computed exactly through a Smith normal form
-with recorded unimodular transforms.  The class of the all-ones vector is
+P (A^t - I_N) Q = S: P is kept, to read coordinates; Q is checked, and the
+check's determinant gives det(I - A).  The class of the all-ones vector is
 distinguished: full groups of two shifts are isomorphic exactly when the
 pointed groups match and det(I - A) = det(I - B).  The source paper shows
 that the full groups are isomorphic exactly when the one-sided shifts are
@@ -201,8 +202,8 @@ class BFGroup:
 
     `diag` is the full diagonal; entries equal to 1 are trivial, entries
     >= 2 are the invariant factors, zeros contribute free rank.  `p_rows`
-    and `q_cols` are the unimodular transforms with P (A^t - I) Q diagonal;
-    P carries an integer vector to its coordinates in the new basis.
+    is the row transform P of the Smith form P (A^t - I) Q; it carries an
+    integer vector to its coordinates in the new basis.
     `det` is det(A^t - I), read off the Smith form's check, so
     det(I - A) = (-1)^n det; None for a group not built from a matrix.
     """
@@ -210,7 +211,6 @@ class BFGroup:
     n: int
     diag: tuple[int, ...]
     p_rows: tuple[tuple[int, ...], ...]
-    q_cols: tuple[tuple[int, ...], ...] = ()
     det: int | None = None
 
     @property
@@ -232,12 +232,7 @@ class BFGroup:
 
     def order(self) -> int | None:
         """Group order; None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.torsion)
 
     def element(self, vector: list[int] | tuple[int, ...]) -> "GroupElement":
         if len(vector) != self.n:
@@ -291,35 +286,19 @@ def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
     """The cokernel of A^t - I_N with the class of the all-ones vector."""
     n = matrix.n
     m = [[v - (i == j) for j, v in enumerate(col)] for i, col in enumerate(zip(*matrix.entries))]
-    s, p, q, det = _smith_normal_form(m)
+    s, p, _, det = _smith_normal_form(m)
     diag = tuple(s[i][i] for i in range(n))
-    group = BFGroup(
-        n, diag, tuple(tuple(r) for r in p), tuple(tuple(r) for r in q), det
-    )
+    group = BFGroup(n, diag, tuple(tuple(r) for r in p), det)
     unit = group.element([1] * n)
     return group, unit
 
 
-def shift_determinant(matrix: TransitionMatrix) -> int:
-    """det(I_N - A), the sign side of the classification condition.
-
-    det(I - A) is a flow-equivalence invariant (Parry-Sullivan), so all
-    presentations of one shift share it, whatever their sizes.
-    det(A - I_N) = (-1)^N det(I_N - A) is not: it flips sign between
-    presentations whose sizes differ in parity."""
-    return determinant(
-        [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix.entries)]
-    )
-
-
-def clopen_class(clopen: ClopenSet, group: BFGroup | None = None) -> GroupElement:
-    """The cokernel class of a clopen set: sum over its cylinders of the
-    basis class of each cylinder's last symbol; the whole space gets the
-    all-ones class.  Additive over disjoint unions and invariant under
-    the group action."""
+def clopen_class(clopen: ClopenSet, group: BFGroup) -> GroupElement:
+    """The cokernel class of a clopen set in the group of its matrix: sum
+    over its cylinders of the basis class of each cylinder's last symbol;
+    the whole space gets the all-ones class.  Additive over disjoint unions
+    and invariant under the group action."""
     matrix = clopen.matrix
-    if group is None:
-        group, _ = bowen_franks(matrix)
     if group.n != matrix.n:
         raise MatrixMismatch("group and clopen set have different ambient sizes")
     vec = [0] * matrix.n
@@ -367,7 +346,7 @@ def _torsion_match(
     torsion: tuple[int, ...],
     a: tuple[int, ...],
     b: tuple[int, ...],
-    modulus: int = 0,
+    modulus: int,
 ) -> bool:
     """Whether some automorphism of the torsion group T carries a to b, up
     to multiples of `modulus` (exactly when `modulus` is 0): b lies in

@@ -13,6 +13,9 @@ The words of one depth are computed when read, for the text formats.
 Both codes are reduced by one sweep, :func:`merge_siblings`: a clopen set
 is a table whose every word is fixed.  :meth:`TransitionMatrix.count_within`
 counts words with one rolling row; no matrix table grows with the length.
+The three file readers share :func:`text_lines`, and the ``D`` and ``L``
+readers :func:`view_header`; the ``D`` writer prints the view that
+:meth:`ClopenSet.sorted_words` lists.
 """
 
 from __future__ import annotations
@@ -711,10 +714,28 @@ def format_matrix_text(matrix: TransitionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_text(text: str) -> TransitionMatrix:
+def text_lines(text: str, what: str) -> list[str]:
+    """The stripped nonblank lines of a text file; a file with none is
+    refused, ``what`` naming its format in the message."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise BadInput("empty matrix file")
+        raise BadInput(f"empty {what} file")
+    return lines
+
+
+def view_header(line: str, tag: str, what: str) -> int:
+    """The depth that a uniform view's header line ``tag depth`` declares."""
+    head = line.split()
+    if len(head) != 2 or head[0] != tag:
+        raise BadInput(f"bad {what} header {line!r}")
+    try:
+        return int(head[1])
+    except ValueError:
+        raise BadInput(f"bad {what} depth {head[1]!r}") from None
+
+
+def parse_matrix_text(text: str) -> TransitionMatrix:
+    lines = text_lines(text, "matrix")
     try:
         n = int(lines[0])
     except ValueError:
@@ -745,42 +766,22 @@ def parse_word(text: str) -> Word:
 
 
 def format_clopen_text(clopen: ClopenSet) -> str:
-    """``D depth`` then the uniform view, one word a line, streamed from the
-    code: each code word is formatted once, then each of its extensions
-    adds only the text of its suffix."""
+    """``D depth`` then the uniform view, one word a line, as
+    :meth:`ClopenSet.sorted_words` lists it once it has checked its size."""
     if clopen.is_empty:
         return "EMPTY\n"
     if clopen.is_full:
         return "FULL\n"
-    depth = clopen.depth
-    clopen._check_view(depth)
-    lines = [f"D {depth}"]
-    extensions = clopen.matrix.extensions
-    for w in clopen.code:
-        k = len(w)
-        if k == depth:
-            lines.append(format_word(w))
-        else:
-            head = format_word(w) + ","
-            lines.extend(head + ",".join(map(str, x[k:])) for x in extensions(w, depth))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"D {clopen.depth}", *map(format_word, clopen.sorted_words())]) + "\n"
 
 
 def parse_clopen_text(matrix: TransitionMatrix, text: str) -> ClopenSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise BadInput("empty clopen file")
+    lines = text_lines(text, "clopen")
     if lines[0] == "EMPTY":
         return empty_set(matrix)
     if lines[0] == "FULL":
         return full_space(matrix)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "D":
-        raise BadInput(f"bad clopen header {lines[0]!r}")
-    try:
-        depth = int(head[1])
-    except ValueError:
-        raise BadInput(f"bad clopen depth {head[1]!r}") from None
+    depth = view_header(lines[0], "D", "clopen")
     words = [parse_word(ln) for ln in lines[1:]]
     if any(len(w) != depth for w in words):
         raise BadInput("clopen words must all have the declared depth")

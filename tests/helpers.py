@@ -821,6 +821,19 @@ def smith_normal_form_oracle(mat):
     return s, p, q
 
 
+def shift_determinant_oracle(matrix: TransitionMatrix) -> int:
+    """det(I_N - A) by a Bareiss elimination of its own, apart from the
+    Smith form's check that ``BFGroup.shift_determinant`` reads.
+
+    det(I - A) is a flow-equivalence invariant (Parry-Sullivan), so all
+    presentations of one shift share it, whatever their sizes.
+    det(A - I_N) = (-1)^N det(I_N - A) is not: it flips sign between
+    presentations whose sizes differ in parity."""
+    return determinant(
+        [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(matrix.entries)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # cokernel enumeration oracle (independent of elimination)
 

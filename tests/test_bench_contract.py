@@ -99,6 +99,27 @@ def test_tracer_spans_one_table_products_as_builds():
     assert totals["constructions.build"][0] == 2
 
 
+def test_tracer_spans_both_file_writers(tmp_path):
+    # the tracer wraps the writers by their names in cli: a command that
+    # writes a file opens one cli.format span for Report.emit and one for
+    # the writer, tables and clopen sets alike
+    import fullshift.cli as cli
+    from fullshift.sft import format_matrix_text
+
+    mat, tbl, clo = (tmp_path / name for name in ("full2.mat", "swap.tbl", "u.clo"))
+    mat.write_text(format_matrix_text(FULL2))
+    tbl.write_text("L 2\n1,1 -> 2,1\n1,2 -> 1,2\n2,1 -> 1,1\n2,2 -> 2,2\n")
+    clo.write_text("D 2\n1,2\n")
+    commands = [
+        ["inverse", str(mat), str(tbl), "-o", str(tmp_path / "inv.tbl")],
+        ["clopen", str(mat), "complement", str(clo), "-o", str(tmp_path / "co.clo")],
+    ]
+    for argv in commands:
+        with traced() as tracer:
+            assert cli.run(argv) == 0
+        assert tracer.totals()["cli.format"][0] == 2, argv
+
+
 def test_bench_selftest_passes():
     # the harness's own tests: percentiles, self time, failure ratios and
     # instance pools that do not depend on PYTHONHASHSEED

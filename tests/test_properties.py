@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fullshift import FullShiftError, canonicalize_clopen
+from fullshift import BadInput, FullShiftError, canonicalize_clopen
 from fullshift.cli import run
 from fullshift.constructions import search_tables
 from fullshift.errors import ImagesDontCover
@@ -326,17 +326,59 @@ CLI_CASES = [
 ]
 
 
+def _parse(kind: str, text: str):
+    if kind == "matrix":
+        return parse_matrix_text(text)
+    if kind == "clopen":
+        return parse_clopen_text(FULL2, text)
+    return parse_table_text(FULL2, text)
+
+
 def _parses(kind: str, text: str) -> bool:
     try:
-        if kind == "matrix":
-            parse_matrix_text(text)
-        elif kind == "clopen":
-            parse_clopen_text(FULL2, text)
-        else:
-            parse_table_text(FULL2, text)
+        _parse(kind, text)
     except FullShiftError:
         return False
     return True
+
+
+READER_MESSAGES = [
+    ("matrix", "", "empty matrix file"),
+    ("matrix", " \n\t\n", "empty matrix file"),
+    ("matrix", "two\n1 1\n1 1\n", "first line must be the size, got 'two'"),
+    ("matrix", "2\n1 1\n", "expected 2 matrix rows, got 1"),
+    ("matrix", "2\n1 1\n1 x\n", "bad matrix row '1 x'"),
+    ("clopen", "", "empty clopen file"),
+    ("clopen", "\n  \n", "empty clopen file"),
+    ("clopen", "L 1\n1\n", "bad clopen header 'L 1'"),
+    ("clopen", "D\n1\n", "bad clopen header 'D'"),
+    ("clopen", "D 1 2\n1\n", "bad clopen header 'D 1 2'"),
+    ("clopen", "D one\n1\n", "bad clopen depth 'one'"),
+    ("clopen", "D 2\n1,x\n", "bad word '1,x'"),
+    ("clopen", "D 2\n1,1\n2\n", "clopen words must all have the declared depth"),
+    ("table", "", "empty table file"),
+    ("table", "\n\n", "empty table file"),
+    ("table", "D 1\n1 -> 2\n2 -> 1\n", "bad table header 'D 1'"),
+    ("table", "L\n1 -> 2\n", "bad table header 'L'"),
+    ("table", "L 1 1\n1 -> 2\n", "bad table header 'L 1 1'"),
+    ("table", "L x\n1 -> 2\n", "bad table depth 'x'"),
+    ("table", "L 1\n1 2\n2 -> 1\n", "bad table line '1 2'"),
+    ("table", "L 1\n1 -> 2,y\n2 -> 1\n", "bad word '2,y'"),
+    ("table", "L 1\n1 -> 2\n2 -> 1\n1 -> 1\n", "domain word 1 appears twice"),
+    ("table", "L 2\n1 -> 2\n2 -> 1\n", "declared depth 2 but entries have depth 1"),
+]
+
+
+def test_reader_messages_are_pinned():
+    # every reader diagnosis, word for word: the three readers share their
+    # line and header reading, and no message may drift when they do
+    for kind, text, message in READER_MESSAGES:
+        try:
+            _parse(kind, text)
+        except BadInput as exc:
+            assert type(exc) is BadInput and str(exc) == message, (kind, text, str(exc))
+        else:
+            raise AssertionError(f"{kind} text {text!r} was accepted")
 
 
 @SEEDED

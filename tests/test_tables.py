@@ -1,5 +1,6 @@
 """Full-group tables: validation, arithmetic, supports, cocycles."""
 
+import gc
 import random
 import time
 import tracemalloc
@@ -441,3 +442,21 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
         assert psi.order(3) == uniform_order_oracle(psi, 3) == 2
         # phi^2 has 3^8 uniform entries on FULL3, past the oracle's default cap
         assert phi.order(4) == 3 == uniform_order_oracle(phi, 4, entry_cap=6 * phi.entry_count())
+
+
+def test_reduced_tables_hold_no_reference_cycle():
+    # a reduced table is marked without a reference to itself, so tables
+    # that are built, reduced and dropped leave no cyclic garbage behind
+    a, b = cylinder_swap(FULL2, (1,), (2, 1)), cylinder_swap(FULL2, (1, 1), (2,))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            c = a.compose(b)
+            assert c.reduce() is c.reduce()
+            c.order(8)
+        del c
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
