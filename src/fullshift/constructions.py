@@ -89,7 +89,7 @@ def cylinder_permutation(matrix: TransitionMatrix, cycles: Sequence[Sequence[Wor
     # the given words, not cut's copies of them, so the images share them
     domain = tuple(w if k < 0 else words[k] for w, k in pieces)
     images = tuple(w if k < 0 else pairs[k][1] for w, k in pieces)
-    return TableMap(matrix, max(map(len, words)), domain, images)
+    return TableMap(matrix, domain, images)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +668,7 @@ def search_tables(
                         if not m & ~free and free ^ m in closing
                     ]
                 for w, c in found:
-                    yield TableMap(matrix, depth, domain, (*assignment, w, c))
+                    yield TableMap(matrix, domain, (*assignment, w, c))
                 i -= 1
                 continue
             cands, taken, fits = per_word[i], used[i], reach[i + 1]

@@ -18,7 +18,7 @@ certificate for equivalence of clopen sets under the group action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, prod
+from math import gcd, inf, lcm, prod
 from operator import mul
 from typing import Callable
 
@@ -272,11 +272,7 @@ class GroupElement:
     def order(self) -> int | None:
         if any(self.free_part()):
             return None
-        out = 1
-        for c, d in zip(self.coords, self.group.diag):
-            if d >= 2 and c:
-                out = out * (d // gcd(d, c)) // gcd(out, d // gcd(d, c))
-        return out
+        return lcm(*(d // gcd(d, c) for c, d in zip(self.coords, self.group.diag) if d >= 2))
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -484,7 +484,7 @@ def empty_set(matrix: TransitionMatrix) -> ClopenSet:
 # eventually periodic points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EPPoint:
     """The eventually periodic sequence preperiod . period . period . ...
 
@@ -535,9 +535,6 @@ class EPPoint:
             return EPPoint(self.pre[k:], self.per)
         j = (k - len(self.pre)) % len(self.per)
         return EPPoint(EMPTY_WORD, self.per[j:] + self.per[:j])
-
-    def sort_key(self) -> tuple:
-        return (self.pre, self.per)
 
     def __repr__(self):
         pre = ",".join(map(str, self.pre))

@@ -11,13 +11,13 @@ few entries, not every word of one depth.  A table is valid when every
 image word ends in a symbol with the same follower row as its domain word
 and the image cylinders partition the space.
 
-Each table also has a depth, at least its longest domain word.  Refining
-every domain word to all of its admissible extensions of that length gives
-the uniform view: the form of the ``L depth`` text files and of cocycle
-tables.  The code is the only form a table stores; the view is computed
-from it, in sorted order, each time it is read, and never kept.  Only an
-inverse, a validated file and a cylinder permutation sort their pairs;
-every other table is built with its domain in order.
+A table's depth is its longest domain word, as a clopen set's is.
+Refining every domain word to all of its admissible extensions of that
+length gives the uniform view: the form of the ``L depth`` text files and
+of cocycle tables.  The code is the only form a table stores; the view is
+computed from it, in sorted order, each time it is read, and never kept.
+Only an inverse, a validated file and a cylinder permutation sort their
+pairs; every other table is built with its domain in order.
 
 Group structure is exact.  Composition and inversion work on the codes,
 and reduction merges complete sibling families bottom-up into the unique
@@ -69,30 +69,35 @@ class TableMap:
     """An element of the continuous full group as a prefix-exchange table.
 
     ``domain`` is a complete prefix code as a strictly increasing tuple of
-    words, and ``images[i]`` is the image of ``domain[i]``; ``depth`` is at
-    least the longest domain word.  Tables built by validation,
-    construction, composition or reduction have ``depth`` equal to their
-    longest domain word; an inverse keeps the depth of its uniform view.
+    words, and ``images[i]`` is the image of ``domain[i]``; nothing else
+    about the element is stored.  ``depth`` is the longest domain word,
+    found on first read and then kept, as :attr:`ClopenSet.depth` is.
 
-    The code is the only stored form: the uniform view at ``depth`` is
-    computed from it on each read.  Immutable after construction.  Two
-    tables are equal when they have the same matrix, the same depth and the
-    same uniform entries; use :meth:`same_map` to compare the homeomorphisms
-    alone.
+    The uniform view at ``depth`` is computed from the code on each read.
+    Immutable after construction.  Two tables are equal when they have the
+    same matrix, the same depth and the same uniform entries; use
+    :meth:`same_map` to compare the homeomorphisms alone.
     """
 
-    __slots__ = ("matrix", "depth", "domain", "images", "_reduced")
+    __slots__ = ("matrix", "domain", "images", "_depth", "_reduced")
 
-    def __init__(self, matrix: TransitionMatrix, depth: int, domain: Code, images: Code):
+    def __init__(self, matrix: TransitionMatrix, domain: Code, images: Code):
         self.matrix = matrix
-        self.depth = depth
         self.domain = domain
         self.images = images
+        self._depth: int | None = None
         self._reduced: TableMap | bool | None = None
 
     @classmethod
     def identity(cls, matrix: TransitionMatrix) -> "TableMap":
-        return cls(matrix, 0, (EMPTY_WORD,), (EMPTY_WORD,))
+        return cls(matrix, (EMPTY_WORD,), (EMPTY_WORD,))
+
+    @property
+    def depth(self) -> int:
+        """Found on first read: searches build many tables whose depth is never read."""
+        if self._depth is None:
+            self._depth = max(map(len, self.domain))
+        return self._depth
 
     @property
     def entries(self) -> dict[Word, Word]:
@@ -100,14 +105,14 @@ class TableMap:
         ``depth``, as a new dict built from the code on each read and never
         stored.  The library itself reads the view only through
         :meth:`_uniform_view`."""
-        return dict(self._uniform_view())
+        return dict(self._uniform_view(self.depth))
 
-    def _uniform_view(self) -> Iterator[tuple[Word, Word]]:
-        """The uniform view in sorted order: each extension w of a code word
-        nu to ``depth``, with its image rho + w[len(nu):].  The domain is
-        sorted and prefix-free, so the extensions of its words come out in
-        sorted order too."""
-        extensions, depth = self.matrix.extensions, self.depth
+    def _uniform_view(self, depth: int) -> Iterator[tuple[Word, Word]]:
+        """The uniform view at a depth of at least ``self.depth``, in sorted
+        order: each extension w of a code word nu to that depth, with its
+        image rho + w[len(nu):].  The domain is sorted and prefix-free, so
+        the extensions of its words come out in sorted order too."""
+        extensions = self.matrix.extensions
         for nu, rho in zip(self.domain, self.images):
             k = len(nu)
             if k == depth:
@@ -146,11 +151,12 @@ class TableMap:
 
     def apply(self, point: EPPoint) -> EPPoint:
         """Image of an eventually periodic point; exact."""
-        prefix = point.prefix(self.depth)
+        depth = self.depth
+        prefix = point.prefix(depth)
         image = self.word_image(prefix)
         if image is None:
             raise InadmissibleWord(f"point prefix {format_word(prefix)} is not admissible")
-        tail = point.shift(self.depth)
+        tail = point.shift(depth)
         return EPPoint.from_primitive(image + tail.pre, tail.per)
 
     def word_image(self, word: Word) -> Word | None:
@@ -181,15 +187,14 @@ class TableMap:
                     raise InadmissibleWord(f"word {format_word(w)} is not admissible")
                 words.append(nu + w[k:])
                 images.append(outer[i] + w[len(domain[i]):])
-        return TableMap(matrix, max(map(len, words)), tuple(words), tuple(images)).reduce()
+        return TableMap(matrix, tuple(words), tuple(images)).reduce()
 
     def inverse(self) -> "TableMap":
         """The inverse table: the code reversed, sorted by image.  Its depth
-        is the longest image in this table's uniform view, so its uniform
-        view is that view reversed and written out at one depth."""
-        depth = max(len(rho) + self.depth - len(nu) for nu, rho in zip(self.domain, self.images))
+        is this table's longest image, so inverting twice gives this code
+        back."""
         domain, images = zip(*sorted(zip(self.images, self.domain)))
-        return TableMap(self.matrix, depth, domain, images)
+        return TableMap(self.matrix, domain, images)
 
     def reduce(self) -> "TableMap":
         """The reduced code: the unique minimal-depth table denoting the same
@@ -200,12 +205,11 @@ class TableMap:
         if self._reduced is None:
             moved = {nu: rho for nu, rho in zip(self.domain, self.images) if rho != nu}
             words = tuple(merge_siblings(self.matrix, self.domain, moved))
-            depth = max(map(len, words))
-            if words == self.domain and depth == self.depth:
+            if words == self.domain:
                 self._reduced = False
             else:
                 images = tuple(moved.get(w, w) for w in words)
-                self._reduced = TableMap(self.matrix, depth, words, images)
+                self._reduced = TableMap(self.matrix, words, images)
                 self._reduced._reduced = False
         return self._reduced or self
 
@@ -240,12 +244,13 @@ class TableMap:
     # -- refinement ---------------------------------------------------------
 
     def refine_to(self, depth: int) -> "TableMap":
-        """The same map with its uniform view at a greater depth."""
+        """The same map as the code of its uniform view at a depth of at
+        least its own, counted first as the writers count the view."""
         if depth < self.depth:
             raise BadInput("cannot refine a table to a smaller depth")
-        if depth == self.depth:
-            return self
-        return TableMap(self.matrix, depth, self.domain, self.images)
+        check_view_size(self.matrix, self.domain, depth, "the table")
+        domain, images = zip(*self._uniform_view(depth))
+        return TableMap(self.matrix, domain, images)
 
     # -- supports, fixed sets, cocycles --------------------------------------
 
@@ -265,15 +270,11 @@ class TableMap:
         fixed_clopen = canonicalize_clopen(matrix, kept, trusted=True)
         isolated = []
         for nu, rho in pairs:
-            if len(rho) > len(nu) and rho[: len(nu)] == nu:
-                loop = rho[len(nu):]
-                if matrix.arc(loop[-1], loop[0]):
-                    isolated.append(EPPoint.make(nu, loop))
-            elif len(nu) > len(rho) and nu[: len(rho)] == rho:
-                loop = nu[len(rho):]
-                if matrix.arc(loop[-1], loop[0]):
-                    isolated.append(EPPoint.make(rho, loop))
-        isolated.sort(key=lambda p: p.sort_key())
+            short, long = (nu, rho) if len(nu) < len(rho) else (rho, nu)
+            loop = long[len(short):]
+            if loop and long[: len(short)] == short and matrix.arc(loop[-1], loop[0]):
+                isolated.append(EPPoint.make(short, loop))
+        isolated.sort()
         return self.support(), FixedSet(fixed_clopen, tuple(isolated))
 
     def support(self) -> ClopenSet:
@@ -284,7 +285,7 @@ class TableMap:
     def cocycles(self) -> "CocycleTable":
         depth = self.depth
         check_view_size(self.matrix, self.domain, depth, "the table")
-        return CocycleTable(depth, {w: (len(image), depth) for w, image in self._uniform_view()})
+        return CocycleTable(depth, {w: (len(rho), depth) for w, rho in self._uniform_view(depth)})
 
     def in_local_subgroup(self, region: ClopenSet) -> bool:
         """Whether this element fixes the complement of the region pointwise.
@@ -337,10 +338,7 @@ class TableMap:
                 image = rho + w[k:]
                 pieces.append((w, image, w) if i >= 0 else (w, w, image))
         domain, inside, outside = zip(*pieces)
-        depth = max(map(len, domain))
-        part_in = TableMap(matrix, depth, domain, inside).reduce()
-        part_out = TableMap(matrix, depth, domain, outside).reduce()
-        return part_in, part_out
+        return tuple(TableMap(matrix, domain, part).reduce() for part in (inside, outside))
 
 
 @dataclass(frozen=True)
@@ -392,7 +390,7 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
     if len(domain) < len(entries):
         raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - set(domain)))}")
     validate_images(matrix, entries, entries.values())
-    return TableMap(matrix, depth, domain, tuple(entries[w] for w in domain))
+    return TableMap(matrix, domain, tuple(entries[w] for w in domain))
 
 
 def validate_images(

@@ -96,9 +96,12 @@ def long_cycle(n: int) -> TransitionMatrix:
 
 def table_from(matrix: TransitionMatrix, depth: int, mapping: dict) -> TableMap:
     """The table of a dict from domain words to images, given in any order:
-    the domain sorted, the images aligned with it."""
+    the domain sorted, the images aligned with it.  ``depth`` is the depth
+    the caller expects; the table derives its own, and the two must agree."""
     domain = tuple(sorted(mapping))
-    return TableMap(matrix, depth, domain, tuple(mapping[w] for w in domain))
+    table = TableMap(matrix, domain, tuple(mapping[w] for w in domain))
+    assert table.depth == depth, (table.depth, depth)
+    return table
 
 
 def code_of(table: TableMap) -> dict:
@@ -148,6 +151,28 @@ def random_swap(rng: random.Random, matrix: TransitionMatrix, max_len: int = 2) 
             continue
         return cylinder_swap(matrix, a, b)
     raise AssertionError("could not sample a swap")
+
+
+def random_cycles(rng: random.Random, matrix: TransitionMatrix) -> list | None:
+    """Random cycles of pairwise disjoint words of length 1-3, each cycle
+    inside one follower row, or None when no row gets two words."""
+    words = [w for k in (1, 2, 3) for w in matrix.words(k)]
+    rng.shuffle(words)
+    size, chosen = rng.randint(2, 7), []
+    for w in words:
+        if len(chosen) < size and all(w[: len(c)] != c and c[: len(w)] != w for c in chosen):
+            chosen.append(w)
+    by_row: dict = {}
+    for w in chosen:
+        by_row.setdefault(matrix.row(w[-1]), []).append(w)
+    cycles = []
+    for group in by_row.values():
+        if len(group) >= 4 and rng.random() < 0.5:
+            cycles += [tuple(group[:2]), tuple(group[2:])]
+        elif len(group) >= 2:
+            cycles.append(tuple(group))
+    rng.shuffle(cycles)
+    return cycles or None
 
 
 def random_table(
@@ -671,10 +696,15 @@ def product_fold_oracle(matrix: TransitionMatrix, factors) -> tuple[int, dict]:
 
 
 def uniform_inverse_oracle(table: TableMap):
-    """The reversed uniform view, refined to the longest image."""
+    """The reversed uniform view refined to its longest word, reduced, then
+    refined to the table's longest image: the depth of the inverse's code.
+    For a uniform table the last two steps give back the first one's view."""
+    matrix = table.matrix
     rev = [(rho, nu) for nu, rho in uniform_view_oracle(table).items()]
     depth = max(len(r) for r, _ in rev)
-    return depth, _uniform_refine(table.matrix, rev, depth)
+    _, reduced = uniform_reduce_oracle(matrix, depth, _uniform_refine(matrix, rev, depth))
+    depth = max(map(len, table.images))
+    return depth, _uniform_refine(matrix, reduced.items(), depth)
 
 
 def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):

@@ -12,11 +12,9 @@ import zlib
 
 from fullshift import (
     EPPoint,
-    TableMap,
     bowen_franks,
     cylinder,
     full_group_iso_decide,
-    full_space,
     gamma_equivalent,
     validate_matrix,
     validate_table,
@@ -33,7 +31,6 @@ from fullshift.constructions import (
     check_swap_involution,
     clopen_transport,
     cylinder_involution,
-    cylinder_swap,
     free_pair,
     involution_into,
     localize_conjugate,
@@ -41,7 +38,6 @@ from fullshift.constructions import (
     paired_transport,
     swap_involution,
 )
-from fullshift.invariants import determinant
 from fullshift.sft import point_in
 
 from helpers import (
@@ -54,7 +50,6 @@ from helpers import (
     POOL,
     RING3,
     RING4,
-    SMALL_POOL,
     cokernel_orders,
     enumerate_points,
     group_element_orders,

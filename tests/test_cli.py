@@ -10,7 +10,7 @@ import pytest
 
 from fullshift.cli import COMMANDS, CONSTRUCTIONS, SYMBOL_LIMIT, run
 from fullshift.errors import ImagesDontCover
-from fullshift.sft import CYLINDER_LIMIT, format_clopen_text, format_matrix_text, parse_matrix_text
+from fullshift.sft import CYLINDER_LIMIT, format_matrix_text, parse_matrix_text
 from fullshift.tables import format_table_text, parse_table_text, validate_table
 
 from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle

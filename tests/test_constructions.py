@@ -49,7 +49,7 @@ from fullshift.constructions import (
     witness_search,
 )
 from fullshift.invariants import maps_onto_candidates
-from fullshift.sft import TransitionMatrix, format_word, least_gap, point_in
+from fullshift.sft import TransitionMatrix, format_word, least_gap
 from fullshift.tables import validate_images, validate_table
 
 from helpers import (
@@ -73,6 +73,7 @@ from helpers import (
     product_fold_oracle,
     proper_subcylinder_oracle,
     random_clopen,
+    random_cycles,
     random_matrix,
     random_table,
     search_order_oracle,
@@ -242,28 +243,6 @@ def test_cylinder_permutation_runs_no_cover_check(monkeypatch):
     assert calls > 0
 
 
-def _random_cycles(rng, matrix):
-    """Random cycles of pairwise disjoint words of length 1-3, each cycle
-    inside one follower row, or None when no row gets two words."""
-    words = [w for k in (1, 2, 3) for w in matrix.words(k)]
-    rng.shuffle(words)
-    size, chosen = rng.randint(2, 7), []
-    for w in words:
-        if len(chosen) < size and all(w[: len(c)] != c and c[: len(w)] != w for c in chosen):
-            chosen.append(w)
-    by_row: dict = {}
-    for w in chosen:
-        by_row.setdefault(matrix.row(w[-1]), []).append(w)
-    cycles = []
-    for group in by_row.values():
-        if len(group) >= 4 and rng.random() < 0.5:
-            cycles += [tuple(group[:2]), tuple(group[2:])]
-        elif len(group) >= 2:
-            cycles.append(tuple(group))
-    rng.shuffle(cycles)
-    return cycles or None
-
-
 def test_cylinder_permutation_is_a_valid_product_of_swaps():
     # the image check is gone from the construction; the images still pass
     # it, and the table is the product of the swaps along each cycle
@@ -271,7 +250,7 @@ def test_cylinder_permutation_is_a_valid_product_of_swaps():
     built = 0
     for matrix in POOL:
         for _ in range(30):
-            cycles = _random_cycles(rng, matrix)
+            cycles = random_cycles(rng, matrix)
             if cycles is None:
                 continue
             table = cylinder_permutation(matrix, cycles)

@@ -38,7 +38,6 @@ from helpers import (
     code_of,
     cokernel_orders,
     group_element_orders,
-    hom_count,
     invariant_factor_lists,
     maps_onto_filter_oracle,
     out_split,

@@ -19,7 +19,13 @@ from fullshift import (
     full_space,
     validate_table,
 )
-from fullshift.constructions import cylinder_swap, involution_into
+from fullshift.constructions import (
+    cylinder_permutation,
+    cylinder_swap,
+    free_pair,
+    involution_into,
+    search_tables,
+)
 from fullshift.errors import BadDomain, ImagesDontCover, ImagesOverlap
 from fullshift.sft import CYLINDER_LIMIT, point_in
 from fullshift.tables import format_table_text, parse_table_text
@@ -40,6 +46,8 @@ from helpers import (
     maps_agree_oracle,
     merge_families_oracle,
     random_clopen,
+    random_cycles,
+    random_swap,
     random_table,
     table_from,
     uniform_compose_oracle,
@@ -130,6 +138,46 @@ def test_inverse_spec_case():
     assert inv.entries[(2, 1, 1)] == (2, 2, 1, 1)
     assert SWAP.inverse() == SWAP
     assert TableMap.identity(FULL2).inverse().is_identity
+
+
+def test_inverse_laws_keep_the_code():
+    # an inverse's depth is its longest domain word, the longest image of
+    # the table it inverts: inverting twice gives the code back, an
+    # involution is its own inverse, and no inversion widens the view
+    rng = random.Random(1919)
+    involutions, permutations, others = [], [], []
+    for matrix in POOL + [FULL3]:
+        psi, phi, _ = free_pair(cylinder(matrix, (1,)))
+        involutions.append(psi)
+        others.append(phi)
+        for _ in range(12):
+            cycles = random_cycles(rng, matrix)
+            if cycles is not None:
+                permutations.append(cylinder_permutation(matrix, cycles))
+                # one swap from each cycle: disjoint swaps, an involution
+                swaps = cylinder_permutation(matrix, [c[:2] for c in cycles])
+                involutions.append(swaps)
+                permutations.append(swaps)
+            product = TableMap.identity(matrix)
+            for _ in range(rng.randint(2, 4)):
+                product = product.compose(random_swap(rng, matrix))
+            others.append(product)
+    involutions.append(cylinder_swap(FULL2, (1,), (2, 1)))
+    others += search_tables(FULL2, 2, 3)
+    assert len(permutations) >= 100 and len(others) >= 200
+    for t in involutions + permutations + others:
+        inverse = t.inverse()
+        assert inverse.depth == max(map(len, t.images))
+        twice = inverse.inverse()
+        assert twice == t and (twice.domain, twice.images) == (t.domain, t.images)
+        x = t
+        for _ in range(6):
+            x = x.inverse()
+        assert x.entry_count() == t.entry_count()
+    for s in involutions:
+        assert s.inverse() == s
+    for t in permutations:
+        assert t.inverse().entry_count() == t.entry_count()
 
 
 def test_canonical_reduce_spec_cases():
@@ -260,6 +308,8 @@ def test_uniform_view_writers_refuse_a_huge_view_at_once():
         format_table_text(swap)
     with pytest.raises(BadInput, match=message):
         swap.cocycles()
+    with pytest.raises(BadInput, match=message):
+        swap.refine_to(41)
     assert time.perf_counter() - start < 1.0
     # below the limit the view is still listed
     small = cylinder_swap(FULL2, (1,), (2,) * 15)
@@ -423,8 +473,6 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_enumerated_tables():
 
 
 def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
-    from fullshift.constructions import free_pair
-
     pool = [FULL2, GOLDEN, GOLDEN_REV, FULL3, RING3, DENSE3, RING4, DENSE4]
     for matrix in pool:
         psi, phi, _ = free_pair(cylinder(matrix, (1,)))
@@ -433,9 +481,7 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
                 t.reduce(), *uniform_reduce_oracle(matrix, t.depth, dict(t.entries))
             )
             inverse = t.inverse()
-            # the uniform inverse of phi has 3^12 words on FULL3: too big to write out
-            if inverse.entry_count() <= 20_000:
-                _assert_matches_oracle(inverse, *uniform_inverse_oracle(t))
+            _assert_matches_oracle(inverse, *uniform_inverse_oracle(t))
             assert inverse.compose(t).is_identity
         _assert_matches_oracle(psi.compose(phi), *uniform_compose_oracle(psi, phi))
         _assert_matches_oracle(phi.compose(phi), *uniform_compose_oracle(phi, phi))
