@@ -411,21 +411,19 @@ def _construct(args, report: Report) -> None:
 def _witness_search(args, report: Report) -> None:
     if args.order is not None and args.order < 1:
         raise BadInput("--order must be at least 1")
+    if not (args.maps_onto or args.support_in or args.order is not None):
+        raise FullShiftError("witness-search needs at least one condition")
     conditions = []
-    if args.maps_onto:
-        u, v = args.maps_onto
-        conditions.append(lambda t: t.image_clopen(u) == v)
     if args.support_in:
         conditions.append(lambda t: t.support().is_subset_of(args.support_in))
     if args.order is not None:
         conditions.append(lambda t: t.order(max(args.order, 2)) == args.order)
-    if not conditions:
-        raise FullShiftError("witness-search needs at least one condition")
     found = cons.witness_search(
         args.matrix,
         lambda t: all(c(t) for c in conditions),
         args.depth_bound,
         args.image_bound,
+        inv.maps_onto_candidates(*args.maps_onto) if args.maps_onto else None,
     )
     if found is None:
         report.add("RESULT", "EXHAUSTED")

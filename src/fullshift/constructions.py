@@ -567,23 +567,32 @@ def _candidate_images(
     ]
 
 
+# the leaf masks of the search take about (words of length 1..image bound)
+# x (leaves) / 2 bits, for each mask starts at its first leaf; 2^31 bits,
+# 256 MiB, admits image bounds up to 15 on the full 2-shift
+MASK_BIT_LIMIT = 1 << 31
+
+
 def search_tables(
     matrix: TransitionMatrix,
     depth_bound: int,
     image_bound: int,
     candidate_filter: Callable[[Word, list[Word]], list[Word]] | None = None,
 ) -> Iterator[TableMap]:
-    """Every valid table within the bounds, the identity first.
+    """Every valid table within the bounds whose images pass the filter.
 
     Tables come in a fixed deterministic order: by increasing depth, the
     domain words assigned images in lexicographic order, with candidate
     images ordered by (length, word); ``candidate_filter(nu, cands)``
-    returns the candidates it keeps for domain word nu, in that order.  A
+    returns the candidates it keeps for domain word nu, in that order; the
+    depth-0 identity comes first if it keeps [EMPTY_WORD] for EMPTY_WORD.  A
     depth-d table is a choice of one candidate per depth-d word whose image
     cylinders partition the space; each candidate is a bitset over the
     words of length image_bound (the leaves) it covers, so the choices must
-    be pairwise disjoint and cover all n_leaves leaves.  Three exact rules
-    cut the backtracking:
+    be pairwise disjoint and cover all n_leaves leaves.  The image
+    cylinders are nonempty and disjoint, so no table has more domain words
+    than leaves; word counts never fall with length, so the search stops
+    at the first depth with more.  Three exact rules cut the backtracking:
 
     * reach[i] is the bitset of leaf counts that domain words i..n-1 could
       still cover together, one candidate each, ignoring overlaps.  A
@@ -598,17 +607,28 @@ def search_tables(
       free leaves are seen at a depth and looked up after that.
 
     The rules drop only branches holding no complete table, so the
-    sequence of tables is the one plain backtracking would give.
+    sequence of tables is the one plain backtracking would give.  Before
+    the first depth, an image bound past ``CYLINDER_LIMIT`` leaves or
+    ``MASK_BIT_LIMIT`` bits of leaf masks is refused.
     """
-    yield TableMap.identity(matrix)
+    if candidate_filter is None or candidate_filter(EMPTY_WORD, [EMPTY_WORD]):
+        yield TableMap.identity(matrix)
     top = image_bound
-    if matrix.count_within((EMPTY_WORD,), top, CYLINDER_LIMIT) is None:
+    n_leaves = matrix.count_within((EMPTY_WORD,), top, CYLINDER_LIMIT)
+    if n_leaves is None:
         raise BadInput(
             f"image bound {top} spans more than {CYLINDER_LIMIT} cylinders; "
             "search bookkeeping would not fit"
         )
+    # word counts never fall with length, so none up to top passes n_leaves
+    n_words = sum(matrix.count_within((EMPTY_WORD,), k, n_leaves) for k in range(1, top + 1))
+    mask_bits = n_words * n_leaves // 2
+    if mask_bits > MASK_BIT_LIMIT:
+        raise BadInput(
+            f"image bound {top} needs about {mask_bits} bits of leaf masks, "
+            f"more than {MASK_BIT_LIMIT}; search bookkeeping would not fit"
+        )
     leaves = matrix.words(top)
-    n_leaves = len(leaves)
     full = (1 << n_leaves) - 1
     masks: dict[Word, tuple[int, int]] = {}
 
@@ -625,6 +645,8 @@ def search_tables(
 
     base: dict[int, list[Word]] = {}
     for depth in range(1, depth_bound + 1):
+        if matrix.count_within((EMPTY_WORD,), depth, n_leaves) is None:
+            break
         domain = matrix.words(depth)
         n = len(domain)
         per_word: list[list[tuple[Word, int, int]]] = []
@@ -694,9 +716,8 @@ def _run_search(
     candidate_filter: Callable[[Word, list[Word]], list[Word]] | None = None,
 ):
     """The first non-None ``visit(table)`` over :func:`search_tables`, else
-    None.  :func:`witness_search` and ``invariants.gamma_equivalent`` both
-    search through here, so the benchmark's traced run (bench/spans.py)
-    wraps this one function to count tables and time the predicates."""
+    None.  Every search runs here through :func:`witness_search`, so the
+    benchmark's traced run (bench/spans.py) wraps this one function."""
     for table in search_tables(matrix, depth_bound, image_bound, candidate_filter):
         result = visit(table)
         if result is not None:
@@ -709,14 +730,14 @@ def witness_search(
     predicate: Callable[[TableMap], bool],
     depth_bound: int,
     image_bound: int,
+    candidate_filter: Callable[[Word, list[Word]], list[Word]] | None = None,
 ) -> TableMap | None:
-    """First valid table satisfying the predicate, in the fixed enumeration
+    """First valid table satisfying the predicate, a condition on whole
+    tables, among those whose images pass the candidate filter, in the
     order of :func:`search_tables`; None when the bounded space is
-    exhausted.
-    """
+    exhausted."""
     if depth_bound < 1 or image_bound < 1:
         raise BadInput("search bounds must be at least 1")
     return _run_search(
-        matrix, depth_bound, image_bound, lambda t: t if predicate(t) else None
+        matrix, depth_bound, image_bound, lambda t: t if predicate(t) else None, candidate_filter
     )
-

@@ -22,7 +22,7 @@ from math import gcd, inf, lcm, prod
 from operator import mul
 from typing import Callable
 
-from .constructions import _run_search
+from .constructions import witness_search
 from .errors import BadInput, MatrixMismatch
 from .sft import ClopenSet, TransitionMatrix, Word, cut
 from .tables import TableMap
@@ -498,7 +498,8 @@ def maps_onto_candidates(u: ClopenSet, v: ClopenSet) -> Callable[[Word, list[Wor
     For a domain word nu it keeps, in search order, the candidate images
     that agree with carrying u onto v.  The cylinder of nu is cut along
     u's code: each piece inside u must be carried into v, and each piece
-    outside u must be carried off v.
+    outside u must be carried off v.  So a table, a bijection, passes at
+    every word, the identity at the empty word, iff it carries u onto v.
     """
     matrix = u.matrix
 
@@ -525,8 +526,8 @@ def gamma_equivalent(
 
     Unequal cokernel classes certify a negative (the class is conserved
     by every table since row-compatible symbols share one class).  Equal
-    classes launch a constrained exact-cover search for a witness; its
-    success is returned with the witness, exhaustion stays undecided.
+    classes launch :func:`witness_search` with the exact maps-onto filter,
+    whose first table is the witness; exhaustion stays undecided.
     """
     if depth_bound < 1 or image_bound < 1:
         raise BadInput("search bounds must be at least 1")
@@ -551,11 +552,8 @@ def gamma_equivalent(
             f"cokernel classes differ: {cu.coords} vs {cv.coords}",
         )
 
-    # the filter is exact: a table passing it carries u into v and the rest
-    # off v, so, a bijection, onto v; only the identity skips it, and u != v
-    found = _run_search(
-        matrix, depth_bound, image_bound, lambda t: None if t.is_identity else t,
-        candidate_filter=maps_onto_candidates(u, v),
+    found = witness_search(
+        matrix, lambda t: True, depth_bound, image_bound, maps_onto_candidates(u, v)
     )
     if found is not None:
         return EquivalenceResult("equivalent", found, "witness found by bounded search")

@@ -727,13 +727,16 @@ def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
 def search_order_oracle(matrix: TransitionMatrix, depth_bound: int, image_bound: int,
                         candidate_filter=None) -> list[TableMap]:
     """Every valid table within the bounds, in the documented search order,
-    by plain recursive backtracking with only suffix-sum cover bounds."""
+    by plain recursive backtracking with only suffix-sum cover bounds.  The
+    identity, the depth-0 table, is kept when the filter keeps the empty
+    word as its own image, as the search keeps it."""
     def candidate_images(last):
         out = [w for k in range(1, image_bound + 1) for w in matrix.words(k)
                if matrix.row(w[-1]) == matrix.row(last)]
         return sorted(out, key=lambda w: (len(w), w))
 
-    out = [TableMap.identity(matrix)]
+    keep_identity = candidate_filter is None or candidate_filter((), [()])
+    out = [TableMap.identity(matrix)] if keep_identity else []
     top = image_bound
     leaves = {w: i for i, w in enumerate(matrix.words(top))}
     n_leaves = len(leaves)

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, reports."""
 
 import json
+import random
 import re
 import time
 import tracemalloc
@@ -9,11 +10,20 @@ from pathlib import Path
 import pytest
 
 from fullshift.cli import COMMANDS, CONSTRUCTIONS, SYMBOL_LIMIT, run
+from fullshift.constructions import MASK_BIT_LIMIT, search_tables, witness_search
 from fullshift.errors import ImagesDontCover
-from fullshift.sft import CYLINDER_LIMIT, format_matrix_text, parse_matrix_text
-from fullshift.tables import format_table_text, parse_table_text, validate_table
+from fullshift.sft import (
+    CYLINDER_LIMIT,
+    cylinder,
+    empty_set,
+    format_clopen_text,
+    format_matrix_text,
+    full_space,
+    parse_matrix_text,
+)
+from fullshift.tables import TableMap, format_table_text, parse_table_text, validate_table
 
-from helpers import FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle
+from helpers import POOL, FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle, random_clopen
 
 
 @pytest.fixture
@@ -240,6 +250,92 @@ def test_witness_search_cli(files, tmp_path, capsys):
     assert code == 0
     assert "RESULT: FOUND" in capsys.readouterr().out
     assert run(["table-validate", files["full2.mat"], out_path]) == 0
+
+
+def test_witness_search_maps_onto_matches_the_predicate_search(tmp_path, capsys):
+    # --maps-onto prunes images with the exact filter; the first hit or
+    # exhaust and the written file are those of the search that tests
+    # image_clopen on every complete table
+    rng = random.Random(61)
+    moves = {m: [t for t in search_tables(m, 2, 2) if not t.is_identity] for m in POOL}
+    seen = set()
+    for case in range(300):
+        matrix = rng.choice(POOL)
+        sets = [empty_set(matrix), full_space(matrix)] + [
+            random_clopen(rng, matrix, max_depth=rng.choice([1, 2, 3])) for _ in range(3)
+        ]
+        g = rng.choice(moves[matrix])
+        u = rng.choice(sets)
+        v = rng.choice([u, g.image_clopen(u), g.image_clopen(u), rng.choice(sets)])
+        region = rng.choice([g.support(), rng.choice(sets)]) if case % 2 else None
+        order = rng.choice([1, 2, 3, g.order(6) or 2]) if case // 2 % 2 else None
+        bounds = [(1, 1), (1, 2), (2, 2), (2, 2)] + [(2, 3)] * (matrix.n == 2)
+        depth, image = rng.choice(bounds)
+        paths = {}
+        for name, clopen in (("u", u), ("v", v), ("o", region)):
+            paths[name] = tmp_path / f"{case}{name}.clo"
+            if clopen is not None:
+                paths[name].write_text(format_clopen_text(clopen))
+        mat = tmp_path / f"{case}.mat"
+        mat.write_text(format_matrix_text(matrix))
+        out = tmp_path / f"{case}.tbl"
+        argv = ["witness-search", str(mat), "--depth-bound", str(depth), "--image-bound",
+                str(image), "--maps-onto", str(paths["u"]), str(paths["v"]), "-o", str(out)]
+        if region is not None:
+            argv += ["--support-in", str(paths["o"])]
+        if order is not None:
+            argv += ["--order", str(order)]
+        assert run(argv) == 0
+        report = capsys.readouterr().out
+
+        def predicate(t):
+            return (
+                t.image_clopen(u) == v
+                and (region is None or t.support().is_subset_of(region))
+                and (order is None or t.order(max(order, 2)) == order)
+            )
+
+        want = witness_search(matrix, predicate, depth, image)
+        if want is None:
+            assert "RESULT: EXHAUSTED" in report and not out.exists(), argv
+        else:
+            assert f"RESULT: FOUND\nDEPTH: {want.depth}\n" in report, argv
+            assert out.read_text() == format_table_text(want), argv
+        seen.add((want is not None, u == v, region is not None, order is not None))
+        seen |= {"empty" for c in (u, v) if c.is_empty} | {"full" for c in (u, v) if c.is_full}
+    # found or not, u == v, --support-in, --order
+    assert seen >= {
+        (True, False, False, False), (False, False, False, False),
+        (True, False, True, False), (False, False, True, False),
+        (True, False, False, True), (False, False, False, True),
+        (True, False, True, True), (False, False, True, True),
+        (True, True, False, False), (False, True, False, True),
+        "empty", "full",
+    }
+
+
+def test_witness_search_maps_onto_takes_no_image(files, tmp_path, capsys, monkeypatch):
+    # the far pair [1] -> [2 1] u [1 1 1] exhausts FULL2 at bounds 3/3;
+    # the predicate search took the image of [1] under 40,443 tables
+    image_clopen = TableMap.image_clopen
+    calls = 0
+
+    def counting(self, clopen):
+        nonlocal calls
+        calls += 1
+        return image_clopen(self, clopen)
+
+    monkeypatch.setattr(TableMap, "image_clopen", counting)
+    far = tmp_path / "far.clo"
+    far.write_text(format_clopen_text(cylinder(FULL2, (2, 1)).union(cylinder(FULL2, (1, 1, 1)))))
+    for target, result in ((far, "EXHAUSTED"), (files["u2.clo"], "FOUND")):
+        code = run([
+            "witness-search", files["full2.mat"], "--depth-bound", "3", "--image-bound", "3",
+            "--maps-onto", files["u1.clo"], str(target),
+        ])
+        assert code == 0
+        assert f"RESULT: {result}" in capsys.readouterr().out
+    assert calls == 0
 
 
 def test_gamma_equiv_cli(files, tmp_path, capsys):
@@ -688,3 +784,18 @@ COMMAND: construct
 ERROR: FullShiftError: construction 2.1 needs --Y
 [stderr]
 """
+
+
+def test_witness_search_refuses_an_image_bound_past_the_mask_bound(files, capsys):
+    # 2^18 leaves are within CYLINDER_LIMIT, but their masks are not
+    start = time.perf_counter()
+    code = run([
+        "witness-search", files["full2.mat"], "--depth-bound", "1",
+        "--image-bound", "18", "--order", "2",
+    ])
+    assert code == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ERROR: BadInput: image bound 18 needs about 68719214592 bits of leaf masks, "
+        f"more than {MASK_BIT_LIMIT}; search bookkeeping would not fit"
+    )

@@ -16,10 +16,12 @@ from fullshift import (
     PreconditionFailed,
     TableMap,
     cylinder,
+    empty_set,
     full_space,
     validate_matrix,
 )
 from fullshift.constructions import (
+    MASK_BIT_LIMIT,
     _candidate_images,
     _disjoint_corners,
     _disjoint_moved_cylinder,
@@ -597,6 +599,48 @@ def test_search_tables_order_matches_oracle():
                 not narrow(nu, _candidate_images(matrix, nu[-1], image)) for nu in penults
             )
     assert emptied
+
+
+def test_search_keeps_the_identity_exactly_when_it_carries_u_onto_v():
+    # the identity is the depth-0 table and passes through the filter like
+    # any other; the maps-onto filter keeps it exactly when u == v
+    rng = random.Random(29)
+    kept = 0
+    for _ in range(300):
+        matrix = rng.choice(POOL)
+        sets = [empty_set(matrix), full_space(matrix)] + [
+            random_clopen(rng, matrix, max_depth=rng.choice([1, 2, 3])) for _ in range(4)
+        ]
+        u = rng.choice(sets)
+        v = u if rng.random() < 0.25 else rng.choice(sets)
+        first = next(search_tables(matrix, 1, 1, maps_onto_candidates(u, v)), None)
+        carries = TableMap.identity(matrix).image_clopen(u) == v
+        assert (first is not None and first.depth == 0) == carries, (matrix, u, v)
+        kept += carries
+    assert 50 < kept < 250
+    assert next(search_tables(FULL2, 1, 1)).depth == 0
+
+
+def test_search_stops_at_the_first_depth_with_more_words_than_leaves():
+    # no table has more domain words than the image bound has leaves, so a
+    # depth bound of 40 with image bound 2 searches depths 1 and 2 only; the
+    # plain search doubled its cost with each depth on FULL2
+    for matrix in (FULL2, GOLDEN):
+        assert len(matrix.words(3)) > len(matrix.words(2))
+        start = time.perf_counter()
+        deep = [(t.depth, t.domain, t.images) for t in search_tables(matrix, 40, 2)]
+        assert witness_search(matrix, lambda t: False, 40, 2) is None
+        assert time.perf_counter() - start < 1.0
+        assert deep == [(t.depth, t.domain, t.images) for t in search_tables(matrix, 2, 2)]
+
+
+def test_search_mask_bound_admits_image_bound_15_on_full2():
+    # a filter that keeps nothing builds no mask, so this checks the bound
+    # alone: 2^16 - 2 words of length 1..15 x 2^15 leaves / 2 bits fit, and
+    # twice as many words over twice as many leaves do not
+    assert list(search_tables(FULL2, 1, 15, lambda nu, cands: [])) == []
+    with pytest.raises(BadInput, match=f"more than {MASK_BIT_LIMIT}; search bookkeeping"):
+        list(search_tables(FULL2, 1, 16, lambda nu, cands: []))
 
 
 def test_split_invariant_randomized():

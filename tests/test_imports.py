@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import is named somewhere in its
-module.  Package ``__init__`` modules are exempt: their imports are the
+module, and no library module imports another's private name.  Package
+``__init__`` modules are exempt from the first rule: their imports are the
 package's re-exports."""
 
 import ast
@@ -27,6 +28,18 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in named]
 
 
+def private_imports(source: str) -> list[str]:
+    """The leading-underscore names imported from other modules, at any
+    level of the module."""
+    return [
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
 def test_unused_imports_are_caught():
     source = "import os\nimport a.b\nfrom x import y as z, w\nprint(w, a)\ndef f() -> 'os': ...\n"
     assert unused_imports(source) == ["z"]
@@ -44,5 +57,21 @@ def test_no_module_imports_a_name_it_never_uses():
         str(path.relative_to(ROOT)): names
         for path in modules
         if (names := unused_imports(path.read_text()))
+    }
+    assert not found, found
+
+
+def test_private_imports_are_caught():
+    source = "from .a import _b, c\nfrom d import e as _e\ndef f():\n    from .g import _h\n"
+    assert private_imports(source) == ["_b", "_h"]
+
+
+def test_no_library_module_imports_a_private_name():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in modules
+        if (names := private_imports(path.read_text()))
     }
     assert not found, found
