@@ -4,7 +4,8 @@ Each command is one entry of ``COMMANDS``: its help text, its arguments as
 data, each input file with the reader of its format, and a handler
 ``(args, report)``.  ``construct`` looks its id up in ``CONSTRUCTIONS``.
 ``run`` builds the parser of the named command only (of every command for
-help, no command or an unknown one), reads the input files, calls the one
+help, no command or an unknown one), once per process: a later call with
+the same command reuses it.  It then reads the input files, calls the one
 handler and emits the report.
 
 Reports are line-oriented ``KEY: value`` text (or one JSON document with
@@ -17,6 +18,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -500,21 +502,26 @@ def _verify(args, report: Report) -> None:
     _add_cocycles(report, args.table.cocycles())
 
 
-def _build_parser(names) -> argparse.ArgumentParser:
-    """The top-level parser with a subcommand parser for each of names.
+@functools.cache
+def _build_parser(name: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with a subcommand parser for the named command
+    only, or for every command when name is None.
 
-    A parser for fewer than all commands still names them all in its usage
+    Built on the first call for a name and handed back on every later one,
+    so a process holds at most one parser per command plus the full one:
+    ``parse_args`` leaves a parser unchanged, and each call gets a new
+    namespace.  A parser for one command still names them all in its usage
     lines; the full parser keeps argparse's metavar, "command" in errors."""
     parser = argparse.ArgumentParser(
         prog="fullshift",
         description="Exact computations in continuous full groups of one-sided Markov shifts.",
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    metavar = None if name is None else "{" + ",".join(COMMANDS) + "}"
     subparsers = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        command = COMMANDS[name]
-        sub = subparsers.add_parser(name, help=command.help)
+    for key in COMMANDS if name is None else [name]:
+        command = COMMANDS[key]
+        sub = subparsers.add_parser(key, help=command.help)
         for flags, options, _ in (JSON, *command.arguments):
             sub.add_argument(*flags, **options)
     return parser
@@ -522,7 +529,7 @@ def _build_parser(names) -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     name = next((token for token in argv if token != "--json"), None)
-    parser = _build_parser([name] if name in COMMANDS else COMMANDS)
+    parser = _build_parser(name if name in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

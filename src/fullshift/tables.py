@@ -300,24 +300,25 @@ class TableMap:
         return self.support().is_subset_of(region)
 
     def image_clopen(self, clopen: ClopenSet) -> ClopenSet:
-        """The image of a clopen set, as a canonical clopen set.  A domain
-        cylinder meets the set in all of it, when a code word of the set is
-        a prefix of its word, or else in the run of code words that extend
-        its word; one bisection finds either."""
+        """The image of a clopen set, as a canonical clopen set.  The domain
+        is a complete prefix code, so each code word w of the set either
+        lies in one domain cylinder, whose word is a prefix of w and whose
+        image carries w with its suffix, or is the union of the run of
+        domain cylinders whose words extend w, each carried whole.  One
+        bisection, from where the previous set word's ended, finds either;
+        the cost follows the set's code and the image, not the domain."""
         if self.matrix != clopen.matrix:
             raise MatrixMismatch("clopen set lives over a different matrix")
-        words, out = clopen.code, []
-        last = len(words)
-        for nu, rho in zip(self.domain, self.images):
-            i = bisect_right(words, nu)
-            if i:
-                w = words[i - 1]
-                if nu[: len(w)] == w:
-                    out.append(rho)
-                    continue
-            k = len(nu)
-            while i < last and words[i][:k] == nu:
-                out.append(rho + words[i][k:])
+        domain, images, out = self.domain, self.images, []
+        last, i = len(domain), 0
+        for w in clopen.code:
+            i = bisect_right(domain, w, i)
+            if i and w[: len(nu := domain[i - 1])] == nu:
+                out.append(images[i - 1] + w[len(nu):])
+                continue
+            k = len(w)
+            while i < last and domain[i][:k] == w:
+                out.append(images[i])
                 i += 1
         return canonicalize_clopen(self.matrix, out, trusted=True)
 

@@ -567,14 +567,30 @@ def words_oracle(matrix: TransitionMatrix, word, length: int) -> list:
     return level
 
 
-def uniform_view_oracle(table: TableMap) -> dict:
-    """The uniform view of a table: each oracle word of length depth mapped
-    through the code word that is its prefix, in sorted order."""
+def uniform_view_oracle(table: TableMap, depth: int | None = None) -> dict:
+    """The uniform view of a table at its depth, or at a given greater
+    one: each oracle word of that length mapped through the code word that
+    is its prefix, in sorted order."""
     code, view = code_of(table), {}
-    for w in words_oracle(table.matrix, (), table.depth):
+    for w in words_oracle(table.matrix, (), table.depth if depth is None else depth):
         k = next(k for k in range(len(w) + 1) if w[:k] in code)
         view[w] = code[w[:k]] + w[k:]
     return view
+
+
+def image_clopen_oracle(
+    table: TableMap, clopen: ClopenSet, view: dict | None = None
+) -> tuple[int, frozenset]:
+    """The image of a clopen set as a :func:`uniform_clopen_oracle` form:
+    the images of the words of the oracle view at max(table depth, set
+    depth) whose cylinders lie in the set, that is, that extend a code word
+    of the set.  A caller may pass the view, at any depth at least both."""
+    matrix = table.matrix
+    if view is None:
+        view = uniform_view_oracle(table, max(table.depth, clopen.depth))
+    depth = len(next(iter(view)))
+    inside = {w for c in clopen.code for w in words_oracle(matrix, c, depth)}
+    return uniform_clopen_oracle(matrix, [rho for w, rho in view.items() if w in inside])
 
 
 def table_text_oracle(table: TableMap) -> str:

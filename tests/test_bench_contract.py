@@ -102,7 +102,9 @@ def test_tracer_spans_one_table_products_as_builds():
 def test_tracer_spans_both_file_writers(tmp_path):
     # the tracer wraps the writers by their names in cli: a command that
     # writes a file opens one cli.format span for Report.emit and one for
-    # the writer, tables and clopen sets alike
+    # the writer, tables and clopen sets alike; and each call, the repeated
+    # one too, whose parser is reused, opens the two cli.parse spans of
+    # _build_parser and parse_args
     import fullshift.cli as cli
     from fullshift.sft import format_matrix_text
 
@@ -115,9 +117,12 @@ def test_tracer_spans_both_file_writers(tmp_path):
         ["clopen", str(mat), "complement", str(clo), "-o", str(tmp_path / "co.clo")],
     ]
     for argv in commands:
-        with traced() as tracer:
-            assert cli.run(argv) == 0
-        assert tracer.totals()["cli.format"][0] == 2, argv
+        for _ in range(2):
+            with traced() as tracer:
+                assert cli.run(argv) == 0
+            totals = tracer.totals()
+            assert totals["cli.format"][0] == 2, argv
+            assert totals["cli.parse"][0] == 2, argv
 
 
 def test_bench_selftest_passes():

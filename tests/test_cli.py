@@ -1,14 +1,19 @@
 """Command-line surface: formats, exit codes, reports."""
 
+import argparse
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import fullshift.cli as cli
 from fullshift.cli import COMMANDS, CONSTRUCTIONS, SYMBOL_LIMIT, run
 from fullshift.constructions import MASK_BIT_LIMIT, search_tables, witness_search
 from fullshift.errors import ImagesDontCover
@@ -615,10 +620,67 @@ def _surface_transcript(paths, capsys):
 
 def test_cli_surface_is_pinned(files, capsys, monkeypatch):
     """Help, usage errors, --json placement and construct diagnoses, byte
-    for byte: stdout, stderr and exit code of each call."""
+    for byte: stdout, stderr and exit code of each call.  The second pass
+    reuses the parsers of the first, after -h and usage errors exited."""
     monkeypatch.setenv("COLUMNS", "80")
     paths = {"M": files["full2.mat"], "T": files["swap.tbl"], "U": files["u1.clo"]}
-    assert _surface_transcript(paths, capsys) == SURFACE_TEXT
+    for _ in range(2):
+        assert _surface_transcript(paths, capsys) == SURFACE_TEXT
+
+
+def test_run_reuses_one_parser_per_command(files, capsys, monkeypatch):
+    """After one call per command, help and usage error, further calls
+    build no ArgumentParser, and every call is handed one of at most one
+    parser per command plus the full one, through the module global."""
+    m, t, u = files["full2.mat"], files["swap.tbl"], files["u1.clo"]
+    calls = [[name, "-h"] for name in COMMANDS] + [[name] for name in COMMANDS] + [
+        ["bf", m], ["--json", "inverse", m, t], ["clopen", m, "complement", u, "--json"],
+        ["-h"], [], ["no-such-command"],
+    ]
+    build, handed = cli._build_parser, []
+
+    def recording(name):
+        handed.append(build(name))
+        return handed[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    warm = [run(argv) for argv in calls]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert [run(argv) for argv in calls] == warm
+    capsys.readouterr()
+    assert built == []
+    assert len(handed) == 2 * len(calls)
+    assert len({id(parser) for parser in handed}) <= len(COMMANDS) + 1
+
+
+def test_a_one_shot_call_builds_one_subparser():
+    # a fresh process that runs one named command builds its top-level
+    # parser and that command's subparser, not the other commands'
+    code = (
+        "import argparse, fullshift.cli as cli\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "cli.run(['bf', '-h'])\n"
+        "print(built)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['fullshift', 'fullshift bf']"
 
 
 SURFACE_TEXT = """\

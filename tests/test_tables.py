@@ -27,7 +27,7 @@ from fullshift.constructions import (
     search_tables,
 )
 from fullshift.errors import BadDomain, ImagesDontCover, ImagesOverlap
-from fullshift.sft import CYLINDER_LIMIT, point_in
+from fullshift.sft import CYLINDER_LIMIT, canonicalize_clopen, point_in
 from fullshift.tables import format_table_text, parse_table_text
 
 from helpers import (
@@ -43,6 +43,7 @@ from helpers import (
     code_of,
     completion_points,
     enumerate_points,
+    image_clopen_oracle,
     maps_agree_oracle,
     merge_families_oracle,
     random_clopen,
@@ -51,9 +52,11 @@ from helpers import (
     random_table,
     table_from,
     uniform_compose_oracle,
+    uniform_form,
     uniform_inverse_oracle,
     uniform_order_oracle,
     uniform_reduce_oracle,
+    uniform_view_oracle,
 )
 
 SWAP = validate_table(FULL2, {(1,): (2,), (2,): (1,)})
@@ -270,6 +273,43 @@ def test_image_clopen_cases():
     assert WORKED.image_clopen(cylinder(FULL2, (1, 1))) == cylinder(FULL2, (1, 1, 1))
     with pytest.raises(MatrixMismatch):
         SWAP.image_clopen(cylinder(GOLDEN, (1,)))
+
+
+def test_image_clopen_matches_the_view_oracle():
+    # seeded tables against seeded sets on every pool matrix and FULL3: set
+    # words inside domain cylinders, domain cylinders inside set words, and
+    # the empty and the full set
+    rng = random.Random(2161)
+    for matrix in POOL + [FULL3]:
+        sets = [empty_set(matrix), full_space(matrix)]
+        sets += [random_clopen(rng, matrix, rng.randint(1, 4)) for _ in range(10)]
+        for _ in range(12):
+            table = random_table(rng, matrix)
+            for u in sets:
+                image = table.image_clopen(u)
+                assert uniform_form(image) == image_clopen_oracle(table, u), (table, u.code)
+
+
+# U and V of the search workload's far pairs, which no FULL2 table within
+# bounds 3/3 carries one onto the other
+FAR_SETS = [
+    canonicalize_clopen(FULL2, words)
+    for words in ([(1, 1)], [(2, 2, 2, 2)], [(1, 2)], [(1, 1, 1, 1), (2, 2, 2, 2)],
+                  [(1,)], [(2, 1), (1, 1, 1)])
+]
+
+
+def test_image_clopen_matches_the_oracle_on_every_full2_3x3_table():
+    # one oracle view per table, at depth 4: every table's depth and every
+    # set's depth is at most 4
+    count = 0
+    for table in search_tables(FULL2, 3, 3):
+        view = uniform_view_oracle(table, 4)
+        for u in FAR_SETS:
+            image = table.image_clopen(u)
+            assert uniform_form(image) == image_clopen_oracle(table, u, view), (table, u.code)
+        count += 1
+    assert count == 40443
 
 
 def test_deep_swap_support_is_two_code_words():
