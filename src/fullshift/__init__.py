@@ -42,7 +42,7 @@ from .sft import (
     point_in,
     validate_matrix,
 )
-from .tables import CocycleTable, FixedSet, TableMap, validate_table
+from .tables import FixedSet, TableMap, validate_table
 from .constructions import (
     clopen_transport,
     cylinder_involution,

@@ -42,7 +42,7 @@ from .sft import (
     parse_point,
     parse_word,
 )
-from .tables import CocycleTable, TableMap, format_table_text, parse_table_text
+from .tables import TableMap, format_table_text, parse_table_text
 
 # the most symbols `words` lists in all: every length up to 32 whose word
 # count is within CYLINDER_LIMIT still prints, and a slowly growing shift
@@ -134,8 +134,10 @@ def _add_support(report: Report, table: TableMap) -> ClopenSet:
     return support
 
 
-def _add_cocycles(report: Report, cocycles: CocycleTable) -> None:
-    for w, (k, l) in cocycles.values.items():
+def _add_cocycles(report: Report, table: TableMap) -> None:
+    """One line per code word.  A table read from an ``L`` file is its own
+    uniform view, so these are the cocycles of every word of its depth."""
+    for w, (k, l) in table.cocycles().items():
         report.add("COCYCLE", f"{format_word(w)} k={k} l={l}")
 
 
@@ -345,9 +347,8 @@ def _support(args, report: Report) -> None:
 
 @_command("cocycles", "orbit cocycle constants per cylinder", MATRIX, TABLE)
 def _cocycles(args, report: Report) -> None:
-    cocycles = args.table.cocycles()
-    report.add("DEPTH", cocycles.depth)
-    _add_cocycles(report, cocycles)
+    report.add("DEPTH", args.table.depth)
+    _add_cocycles(report, args.table)
 
 
 @_command(
@@ -499,7 +500,7 @@ def _gamma_equiv(args, report: Report) -> None:
 def _verify(args, report: Report) -> None:
     _table_validate(args, report)
     _add_support(report, args.table)
-    _add_cocycles(report, args.table.cocycles())
+    _add_cocycles(report, args.table)
 
 
 @functools.cache

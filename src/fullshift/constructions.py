@@ -276,7 +276,9 @@ def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
 def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
     """An involution carrying a whole clopen set into a disjoint clopen set.
 
-    The source splits into cylinders; each is swapped, as by a cylinder
+    The source splits into the cylinders of its code words, those shorter
+    than 2 split into their children, as :func:`matched_partition` splits
+    a set carried by the identity; each is swapped, as by a cylinder
     involution, into its own corner of the target, all in one table.
     """
     matrix = source.matrix
@@ -284,9 +286,9 @@ def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
         raise EmptyInput("source and target must be nonempty")
     if not source.intersection(target).is_empty:
         raise NotDisjoint("source and target intersect")
-    sources = list(source.view(max(source.depth, 2)))
+    sources = matched_partition(TableMap.identity(matrix), source)
     corners = _disjoint_corners(target, len(sources))
-    pairs = [(w, _landing_word(matrix, w, c)) for w, c in zip(sources, corners)]
+    pairs = [(w, _landing_word(matrix, w, c)) for (w, _), c in zip(sources, corners)]
     return cylinder_permutation(matrix, pairs).reduce()
 
 
@@ -548,7 +550,7 @@ def check_split_invariant(
     return [
         ("first factor local to O", part_in.in_local_subgroup(region)),
         ("second factor local to complement", part_out.in_local_subgroup(region.complement())),
-        ("factors compose to gamma", part_in.compose(part_out).same_map(gamma)),
+        ("factors compose to gamma", part_in.compose(part_out) == gamma),
     ]
 
 

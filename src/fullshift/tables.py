@@ -13,9 +13,9 @@ and the image cylinders partition the space.
 
 A table's depth is its longest domain word, as a clopen set's is.
 Refining every domain word to all of its admissible extensions of that
-length gives the uniform view: the form of the ``L depth`` text files and
-of cocycle tables.  The code is the only form a table stores; the view is
-computed from it, in sorted order, each time it is read, and never kept.
+length gives the uniform view: the form of the ``L depth`` text files.
+The code is the only form a table stores; the view is computed from it,
+in sorted order, each time it is read, and never kept.
 Only an inverse, a validated file and a cylinder permutation sort their
 pairs; every other table is built with its domain in order.
 
@@ -26,7 +26,9 @@ Thompson's group V, in the Cannon-Floyd-Parry sense).  The sweep is
 :func:`merge_siblings`, the one that reduces clopen sets: a clopen set is
 the case where every word is fixed.  The reduced code's longest domain
 word is the minimal depth of any table for the map, so two tables denote
-the same homeomorphism exactly when their reduced codes are equal.
+the same homeomorphism exactly when their reduced codes are equal.  The
+orbit cocycles are read off the code too: on the cylinder of a domain
+word they are constant.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class TableMap:
     found on first read and then kept, as :attr:`ClopenSet.depth` is.
 
     The uniform view at ``depth`` is computed from the code on each read.
-    Immutable after construction.  Two tables are equal when they have the
-    same matrix, the same depth and the same uniform entries; use
-    :meth:`same_map` to compare the homeomorphisms alone.
+    Immutable after construction.  Two tables are equal when they are the
+    same element: the same matrix and the same reduced code, whatever
+    depth each is written at.
     """
 
     __slots__ = ("matrix", "domain", "images", "_depth", "_reduced")
@@ -126,22 +128,21 @@ class TableMap:
         return self.matrix.count_within(self.domain, self.depth, inf)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TableMap)
-            and self.matrix == other.matrix
-            and self.depth == other.depth
-            and (self.domain == other.domain and self.images == other.images
-                 or self.same_map(other))
-        )
+        if not isinstance(other, TableMap) or self.matrix != other.matrix:
+            return False
+        if self.domain == other.domain and self.images == other.images:
+            return True
+        g, h = self.reduce(), other.reduce()
+        return g.domain == h.domain and g.images == h.images
 
     def __hash__(self):
         g = self.reduce()
-        return hash((self.matrix, self.depth, g.domain, g.images))
+        return hash((self.matrix, g.domain, g.images))
 
     def __repr__(self):
         if self.is_identity:
             return "TableMap(identity)"
-        return f"TableMap(depth={self.depth}, {self.entry_count()} entries)"
+        return f"TableMap(depth={self.depth}, {len(self.domain)} code words)"
 
     @property
     def is_identity(self) -> bool:
@@ -213,10 +214,6 @@ class TableMap:
                 self._reduced._reduced = False
         return self._reduced or self
 
-    def same_map(self, other: "TableMap") -> bool:
-        g, h = self.reduce(), other.reduce()
-        return g.domain == h.domain and g.images == h.images
-
     def order(self, bound: int, entry_cap: int = 4096) -> int | None:
         """Least k <= bound with the k-th power trivial, else None.  Also
         None once a power's reduced code has more than entry_cap words."""
@@ -235,7 +232,7 @@ class TableMap:
         return None
 
     def commutes(self, other: "TableMap") -> bool:
-        return self.compose(other).same_map(other.compose(self))
+        return self.compose(other) == other.compose(self)
 
     def conjugate_by(self, gamma: "TableMap") -> "TableMap":
         """gamma^-1 . self . gamma"""
@@ -282,10 +279,11 @@ class TableMap:
         moved = [nu for nu, rho in zip(self.domain, self.images) if rho != nu]
         return canonicalize_clopen(self.matrix, moved, trusted=True)
 
-    def cocycles(self) -> "CocycleTable":
-        depth = self.depth
-        check_view_size(self.matrix, self.domain, depth, "the table")
-        return CocycleTable(depth, {w: (len(rho), depth) for w, rho in self._uniform_view(depth)})
+    def cocycles(self) -> dict[Word, tuple[int, int]]:
+        """The orbit cocycle constants (k, l) of each domain word, in domain
+        order: on the cylinder of nu -> rho, shifting the image k = len rho
+        times gives the point shifted l = len nu times."""
+        return {nu: (len(rho), len(nu)) for nu, rho in zip(self.domain, self.images)}
 
     def in_local_subgroup(self, region: ClopenSet) -> bool:
         """Whether this element fixes the complement of the region pointwise.
@@ -349,18 +347,6 @@ class FixedSet:
 
     clopen_part: ClopenSet
     isolated: tuple[EPPoint, ...]
-
-
-@dataclass
-class CocycleTable:
-    """Per-cylinder orbit cocycle constants (k, l), in sorted word order:
-    shifting the image by k equals shifting the point by l there."""
-
-    depth: int
-    values: dict[Word, tuple[int, int]]
-
-    def pair(self, word: Word) -> tuple[int, int]:
-        return self.values[word]
 
 
 def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:

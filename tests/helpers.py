@@ -109,6 +109,11 @@ def code_of(table: TableMap) -> dict:
     return dict(zip(table.domain, table.images))
 
 
+def domain_word_at(table: TableMap, point: EPPoint) -> tuple:
+    """The domain word whose cylinder holds the point, by a linear scan."""
+    return next(nu for nu in table.domain if point.prefix(len(nu)) == nu)
+
+
 def assert_sorted_form(table: TableMap) -> None:
     """The stored form of a table: a strictly increasing, prefix-free
     domain (in sorted order a prefix would come right before a word that

@@ -589,6 +589,15 @@ def test_readme_lists_every_command_and_construction():
     assert set(CONSTRUCTIONS) <= listed, set(CONSTRUCTIONS) - listed
 
 
+def test_readme_library_example_runs():
+    # the documented API, asserts included, as the fenced block shows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "swap.cocycles()" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # argv with symbolic file names: M is FULL2 (2 x 2, so DET is the same
 # under det(A - I) and det(I - A)), T a table, U a clopen set
 SURFACE = (
@@ -608,9 +617,9 @@ SURFACE = (
 )
 
 
-def _surface_transcript(paths, capsys):
+def _transcript(lines, paths, capsys):
     parts = []
-    for line in SURFACE:
+    for line in lines:
         argv = [paths.get(token, token) for token in line.split()]
         code = run(argv)
         captured = capsys.readouterr()
@@ -625,7 +634,7 @@ def test_cli_surface_is_pinned(files, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     paths = {"M": files["full2.mat"], "T": files["swap.tbl"], "U": files["u1.clo"]}
     for _ in range(2):
-        assert _surface_transcript(paths, capsys) == SURFACE_TEXT
+        assert _transcript(SURFACE, paths, capsys) == SURFACE_TEXT
 
 
 def test_run_reuses_one_parser_per_command(files, capsys, monkeypatch):
@@ -861,3 +870,141 @@ def test_witness_search_refuses_an_image_bound_past_the_mask_bound(files, capsys
         "ERROR: BadInput: image bound 18 needs about 68719214592 bits of leaf masks, "
         f"more than {MASK_BIT_LIMIT}; search bookkeeping would not fit"
     )
+
+
+# W is the worked table of depth 2 on FULL2, I the depth-0 identity
+PROFILE = tuple(
+    f"{flag}{command} M {table}"
+    for command in ("cocycles", "verify")
+    for table in ("W", "I")
+    for flag in ("", "--json ")
+)
+
+
+def test_cocycles_and_verify_are_pinned(files, capsys, tmp_path):
+    """The full output of ``cocycles`` and ``verify``, text and JSON: a
+    table read from an L file is its own uniform view, so its cocycles
+    name every word of its depth."""
+    worked = validate_table(
+        FULL2, {(1, 1): (1, 1, 1), (1, 2): (1, 1, 2), (2, 1): (1, 2), (2, 2): (2,)}
+    )
+    paths = {"M": files["full2.mat"]}
+    for name, table in (("W", worked), ("I", TableMap.identity(FULL2))):
+        paths[name] = str(tmp_path / f"{name}.tbl")
+        Path(paths[name]).write_text(format_table_text(table))
+    assert Path(paths["I"]).read_text() == "L 0\nEMPTY -> EMPTY\n"
+    assert _transcript(PROFILE, paths, capsys) == PROFILE_TEXT
+
+
+PROFILE_TEXT = """\
+$ fullshift cocycles M W
+[exit 0]
+COMMAND: cocycles
+DEPTH: 2
+COCYCLE: 1,1 k=3 l=2
+COCYCLE: 1,2 k=3 l=2
+COCYCLE: 2,1 k=2 l=2
+COCYCLE: 2,2 k=1 l=2
+[stderr]
+$ fullshift --json cocycles M W
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COCYCLE": [
+      "1,1 k=3 l=2",
+      "1,2 k=3 l=2",
+      "2,1 k=2 l=2",
+      "2,2 k=1 l=2"
+    ],
+    "COMMAND": "cocycles",
+    "DEPTH": "2"
+  }
+}
+[stderr]
+$ fullshift cocycles M I
+[exit 0]
+COMMAND: cocycles
+DEPTH: 0
+COCYCLE: EMPTY k=0 l=0
+[stderr]
+$ fullshift --json cocycles M I
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COCYCLE": "EMPTY k=0 l=0",
+    "COMMAND": "cocycles",
+    "DEPTH": "0"
+  }
+}
+[stderr]
+$ fullshift verify M W
+[exit 0]
+COMMAND: verify
+DEPTH: 2
+ENTRIES: 4
+RESULT: valid
+SUPPORT: FULL
+FIXED-CLOPEN: EMPTY
+FIXED-POINT: |1
+FIXED-POINT: |2
+COCYCLE: 1,1 k=3 l=2
+COCYCLE: 1,2 k=3 l=2
+COCYCLE: 2,1 k=2 l=2
+COCYCLE: 2,2 k=1 l=2
+[stderr]
+$ fullshift --json verify M W
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COCYCLE": [
+      "1,1 k=3 l=2",
+      "1,2 k=3 l=2",
+      "2,1 k=2 l=2",
+      "2,2 k=1 l=2"
+    ],
+    "COMMAND": "verify",
+    "DEPTH": "2",
+    "ENTRIES": "4",
+    "FIXED-CLOPEN": "EMPTY",
+    "FIXED-POINT": [
+      "|1",
+      "|2"
+    ],
+    "RESULT": "valid",
+    "SUPPORT": "FULL"
+  }
+}
+[stderr]
+$ fullshift verify M I
+[exit 0]
+COMMAND: verify
+DEPTH: 0
+ENTRIES: 1
+RESULT: valid
+SUPPORT: EMPTY
+FIXED-CLOPEN: FULL
+COCYCLE: EMPTY k=0 l=0
+[stderr]
+$ fullshift --json verify M I
+[exit 0]
+{
+  "artifacts": [],
+  "checks": {},
+  "report": {
+    "COCYCLE": "EMPTY k=0 l=0",
+    "COMMAND": "verify",
+    "DEPTH": "0",
+    "ENTRIES": "1",
+    "FIXED-CLOPEN": "FULL",
+    "RESULT": "valid",
+    "SUPPORT": "EMPTY"
+  }
+}
+[stderr]
+"""

@@ -119,7 +119,7 @@ def test_swap_involution_examples():
     u1, u2 = cylinder(FULL2, (1,)), cylinder(FULL2, (2,))
     swap = validate_table(FULL2, {(1,): (2,), (2,): (1,)})
     alpha = swap_involution(u1, u2, swap)
-    assert alpha.same_map(swap)
+    assert alpha == swap
     assert_all(check_swap_involution(u1, u2, alpha))
 
     a, b = cylinder(FULL2, (1, 1)), cylinder(FULL2, (1, 2))
@@ -279,15 +279,19 @@ def test_one_table_products_match_the_compose_fold():
         return got == product_fold_oracle(table.matrix, factors)
 
     def transport_swaps(source, target):
-        words = list(source.view(max(source.depth, 2)))
+        # the source's code words, each shorter than 2 replaced by its children
+        matrix = source.matrix
+        words = [v for w in source.code for v in (matrix.extensions(w, 2) if len(w) < 2 else [w])]
         corners = _disjoint_corners(target, len(words))
-        return [cylinder_involution(source.matrix, w, c) for w, c in zip(words, corners)]
+        return [cylinder_involution(matrix, w, c) for w, c in zip(words, corners)]
 
-    for _ in range(80):
-        matrix = rng.choice(POOL)
-        u = random_clopen(rng, matrix, proper=True)
+    # 40 sources of depth up to 3 per matrix, code words of mixed lengths
+    # among them, each carried into its complement
+    for matrix in (POOL + [FULL3]) * 40:
+        u = random_clopen(rng, matrix, 3, proper=True)
         w = u.complement()
         alpha = clopen_transport(u, w)
+        assert_all(check_clopen_transport(u, w, alpha))
         assert matches(alpha, transport_swaps(u, w)), (matrix, u)
 
         gamma = random_table(rng, matrix)
@@ -321,6 +325,31 @@ def test_clopen_transport_of_many_pieces_composes_nothing(monkeypatch):
     assert calls == 0
     monkeypatch.undo()
     assert len(list(u.view(12))) == 2047
+    assert_all(check_clopen_transport(u, w, alpha))
+
+
+def test_clopen_transport_cuts_the_code_not_the_view(monkeypatch):
+    # [1] - [1^16] is 15 code words but 32,767 cylinders at depth 16; the
+    # transport swaps one cylinder per code word into its own corner
+    corners = _disjoint_corners
+    counts = []
+
+    def recording(target, count):
+        counts.append(count)
+        return corners(target, count)
+
+    monkeypatch.setattr("fullshift.constructions._disjoint_corners", recording)
+    u = cylinder(FULL2, (1,)).difference(cylinder(FULL2, (1,) * 16))
+    w = cylinder(FULL2, (2,))
+    alpha = clopen_transport(u, w)
+    assert counts == [len(u.code)] == [15]
+    monkeypatch.undo()
+    assert_all(check_clopen_transport(u, w, alpha))
+
+    # at k = 200 the view would have 2^199 - 1 cylinders
+    u = cylinder(FULL2, (1,)).difference(cylinder(FULL2, (1,) * 200))
+    alpha = clopen_transport(u, w)
+    assert len(alpha.domain) <= 4 * 200
     assert_all(check_clopen_transport(u, w, alpha))
 
 
@@ -358,7 +387,7 @@ def test_clopen_transport_order_insensitive():
     reversed_product = TableMap.identity(FULL2)
     for piece in reversed(pieces):
         reversed_product = reversed_product.compose(piece)
-    assert reversed_product.same_map(alpha)
+    assert reversed_product == alpha
 
 
 def test_first_branching_cylinder_matches_oracle():

@@ -232,7 +232,10 @@ def test_same_map_agrees_with_pointwise_oracle(matrix, seed_a, seed_b):
         (ab.compose(ba), a),
     ]
     for x, y in pairs:
-        assert x.same_map(y) == maps_agree_oracle(x, y)
+        equal = x == y
+        assert equal == maps_agree_oracle(x, y)
+        if equal:
+            assert hash(x) == hash(y)
 
 
 def test_extensions_and_words_agree_with_level_oracle():
@@ -251,8 +254,10 @@ def test_extensions_and_words_agree_with_level_oracle():
 
 
 def test_uniform_view_readers_agree_with_oracle_view():
-    # entries, the L text and the cocycles all read the view computed from
-    # the code; the oracle maps every oracle word through its code prefix
+    # entries and the L text read the view computed from the code; the
+    # oracle maps every oracle word through its code prefix, and each view
+    # word under a code word nu -> rho has the image length that nu's
+    # cocycle (len rho, len nu) gives
     rng = random.Random(67)
     for matrix in POOL:
         prev = TableMap.identity(matrix)
@@ -263,7 +268,11 @@ def test_uniform_view_readers_agree_with_oracle_view():
                 view = uniform_view_oracle(x)
                 assert x.entries == view
                 assert format_table_text(x) == table_text_oracle(x)
-                assert x.cocycles().values == {w: (len(v), x.depth) for w, v in view.items()}
+                cocycles = x.cocycles()
+                assert list(cocycles) == list(x.domain)
+                for nu, (k, l) in cocycles.items():
+                    under = [w for w in view if w[:l] == nu]
+                    assert under and all(len(view[w]) == k + x.depth - l for w in under)
             prev = t
 
 

@@ -42,6 +42,7 @@ from helpers import (
     RING4,
     code_of,
     completion_points,
+    domain_word_at,
     enumerate_points,
     image_clopen_oracle,
     maps_agree_oracle,
@@ -178,7 +179,8 @@ def test_inverse_laws_keep_the_code():
             x = x.inverse()
         assert x.entry_count() == t.entry_count()
     for s in involutions:
-        assert s.inverse() == s
+        inverse = s.inverse()
+        assert inverse == s and inverse.depth == s.depth
     for t in permutations:
         assert t.inverse().entry_count() == t.entry_count()
 
@@ -187,8 +189,10 @@ def test_canonical_reduce_spec_cases():
     deep_id = TableMap.identity(FULL2).refine_to(2)
     assert deep_id.reduce().depth == 0
     assert SWAP.refine_to(2).reduce() == SWAP
-    # the worked table does not merge: its canonical depth stays 2
-    assert WORKED.reduce() == WORKED
+    # the worked table does not merge to a shallower table: its canonical
+    # depth stays 2
+    reduced = WORKED.reduce()
+    assert reduced == WORKED and reduced.depth == WORKED.depth == 2
     again = WORKED.reduce().reduce()
     assert again == WORKED.reduce()
 
@@ -214,9 +218,9 @@ def test_support_identity_and_swap():
 
 
 def test_cocycles_spec_cases():
-    assert TableMap.identity(FULL2).cocycles().values == {(): (0, 0)}
-    assert SWAP.cocycles().values == {(1,): (1, 1), (2,): (1, 1)}
-    assert WORKED.cocycles().values == {
+    assert TableMap.identity(FULL2).cocycles() == {(): (0, 0)}
+    assert SWAP.cocycles() == {(1,): (1, 1), (2,): (1, 1)}
+    assert WORKED.cocycles() == {
         (1, 1): (3, 2),
         (1, 2): (3, 2),
         (2, 1): (2, 2),
@@ -225,21 +229,21 @@ def test_cocycles_spec_cases():
 
 
 def test_cocycles_come_in_sorted_order():
-    # the CLI prints the cocycle lines in the order of the dict
+    # the CLI prints the cocycle lines in the order of the dict: the domain's
     rng = random.Random(135)
     for matrix in POOL:
         for _ in range(20):
             table = random_table(rng, matrix)
             for t in (table, table.inverse(), table.refine_to(table.depth + 2)):
-                words = list(t.cocycles().values)
-                assert words == sorted(words)
+                words = list(t.cocycles())
+                assert words == list(t.domain) == sorted(words)
 
 
 def test_cocycle_equation_on_points():
-    for table in (SWAP, WORKED):
+    for table in (SWAP, WORKED, WORKED.inverse()):
         cocycles = table.cocycles()
         for x in enumerate_points(FULL2, 4, 3):
-            k, l = cocycles.pair(x.prefix(table.depth))
+            k, l = cocycles[domain_word_at(table, x)]
             assert table.apply(x).shift(k) == x.shift(l)
 
 
@@ -347,13 +351,24 @@ def test_uniform_view_writers_refuse_a_huge_view_at_once():
     with pytest.raises(BadInput, match=message):
         format_table_text(swap)
     with pytest.raises(BadInput, match=message):
-        swap.cocycles()
-    with pytest.raises(BadInput, match=message):
         swap.refine_to(41)
+    # the cocycles live on the code: one pair per code word, no view
+    cocycles = swap.cocycles()
+    assert len(cocycles) == len(swap.domain) == 42
+    assert cocycles[(1,)] == (41, 1) and cocycles[(2,) * 41] == (1, 41)
     assert time.perf_counter() - start < 1.0
     # below the limit the view is still listed
     small = cylinder_swap(FULL2, (1,), (2,) * 15)
-    assert len(small.cocycles().values) == small.entry_count() == 2**15
+    assert format_table_text(small).count("\n") - 1 == small.entry_count() == 2**15
+
+
+def test_repr_names_the_code_not_the_view():
+    # the view has 2^2199 + 1 entries, a count of 662 decimal digits; a
+    # repr that printed it raised past Python's digit limit (4300 digits
+    # by default, from depth 14,286) and was slow well before that
+    swap = cylinder_swap(FULL2, (1,), (2,) * 2200)
+    assert repr(swap) == "TableMap(depth=2200, 2201 code words)"
+    assert repr(TableMap.identity(FULL2)) == "TableMap(identity)"
 
 
 def test_split_invariant_cases():
@@ -364,13 +379,13 @@ def test_split_invariant_cases():
 
     inner = cylinder_swap(FULL2, (1, 1), (1, 2))
     part_in, part_out = inner.split_invariant(region)
-    assert part_in.same_map(inner) and part_out.is_identity
+    assert part_in == inner and part_out.is_identity
 
     outer = cylinder_swap(FULL2, (2, 1), (2, 2))
     both = inner.compose(outer)
     part_in, part_out = both.split_invariant(region)
-    assert part_in.same_map(inner) and part_out.same_map(outer)
-    assert part_in.compose(part_out).same_map(both)
+    assert part_in == inner and part_out == outer
+    assert part_in.compose(part_out) == both
 
     with pytest.raises(NotInvariant):
         SWAP.split_invariant(region)
@@ -385,7 +400,7 @@ def test_group_laws_randomized_small():
         for t in tables:
             assert t.compose(t.inverse()).is_identity
             assert t.inverse().compose(t).is_identity
-            assert t.inverse().inverse().same_map(t)
+            assert t.inverse().inverse() == t
             assert t.reduce().reduce() == t.reduce()
 
 
@@ -396,9 +411,21 @@ def test_canonical_equality_agrees_with_pointwise_oracle():
         tables = [random_table(rng, matrix, max_depth=2, max_image=3) for _ in range(8)]
         for i, a in enumerate(tables):
             for b in tables[i:]:
-                assert a.same_map(b) == maps_agree_oracle(a, b)
+                assert (a == b) == maps_agree_oracle(a, b)
                 pairs += 1
     assert pairs > 60
+
+
+def test_equal_tables_are_one_element_whatever_their_depth():
+    # a refined code and a code inverted twice denote the same element, so
+    # they hash alike and a set holds them once
+    rng = random.Random(71)
+    for matrix in POOL:
+        for _ in range(10):
+            t = random_table(rng, matrix)
+            refined = t.refine_to(t.depth + 2)
+            assert refined.depth == t.depth + 2
+            assert len({t, refined, t.inverse().inverse()}) == 1
 
 
 def test_table_text_round_trip():
@@ -406,9 +433,13 @@ def test_table_text_round_trip():
     for matrix in POOL:
         for _ in range(5):
             t = random_table(rng, matrix)
-            assert parse_table_text(matrix, format_table_text(t)) == t
+            parsed = parse_table_text(matrix, format_table_text(t))
+            # the same element, written as its own uniform view
+            assert parsed == t and parsed.depth == t.depth
+            assert all(len(w) == t.depth for w in parsed.domain)
     ident = TableMap.identity(FULL2)
-    assert parse_table_text(FULL2, format_table_text(ident)) == ident
+    parsed = parse_table_text(FULL2, format_table_text(ident))
+    assert parsed == ident and code_of(parsed) == code_of(ident)
 
 
 def test_support_laws_randomized():
@@ -432,7 +463,9 @@ def test_reduce_stops_at_structurally_unmergeable_families():
     table = validate_table(
         GOLDEN, {(1, 1): (2, 1, 1), (1, 2): (2, 1, 2), (2, 1): (1,)}
     )
-    assert table.reduce() == table
+    reduced = table.reduce()
+    assert reduced == table and reduced.depth == table.depth == 2
+    assert code_of(reduced) == {(1,): (2, 1), (2, 1): (1,)}
     with pytest.raises(RowMismatch):
         validate_table(GOLDEN, {(1,): (2, 1), (2,): (1,)})
 
@@ -445,8 +478,8 @@ def test_reduce_exhaustive_on_small_tables():
     for matrix in (FULL2, GOLDEN):
         for t in search_tables(matrix, 2, 2):
             r = t.reduce()
-            validate_table(matrix, r.entries)
-            assert r.reduce() == r
+            # reducing a fresh copy of the reduced code changes nothing
+            assert code_of(validate_table(matrix, r.entries).reduce()) == code_of(r)
             assert maps_agree_oracle(t, r)
 
 
