@@ -418,7 +418,7 @@ def _witness_search(args, report: Report) -> None:
         raise FullShiftError("witness-search needs at least one condition")
     conditions = []
     if args.support_in:
-        conditions.append(lambda t: t.support().is_subset_of(args.support_in))
+        conditions.append(lambda t: t.in_local_subgroup(args.support_in))
     if args.order is not None:
         conditions.append(lambda t: t.order(max(args.order, 2)) == args.order)
     found = cons.witness_search(

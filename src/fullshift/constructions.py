@@ -40,7 +40,6 @@ from .sft import (
     connect_path,
     cut,
     cylinder,
-    distinct_path_pair,
     first_return,
     format_word,
     point_in,
@@ -103,28 +102,34 @@ def involution_into(
     `target`, identity elsewhere.
 
     Returns (V, alpha) with x in V, V inside the source, alpha(V) inside
-    the target, alpha an involution supported on V and alpha(V).  The
-    witness is assembled from a cylinder inside the target, a pair of
-    distinct connecting paths (which exist by non-degeneracy of the
-    matrix), and a connecting word back into the chosen neighbourhood.
+    the target, alpha an involution supported on V and alpha(V): V is the
+    cylinder of nu = x.prefix(m) for the least m >= max(source.depth, 2)
+    whose cylinder does not contain the target, and alpha is the
+    :func:`cylinder_involution` of nu into the target.
+
+    Some m <= max(source.depth, 2, target.depth + n) qualifies.  Were the
+    target inside the cylinder of x.prefix(m) with m >= target.depth + n,
+    the n or more symbols past a target code word would be forced, each
+    the only successor of the one before.  A forced chain of n steps
+    repeats a symbol; the cycle between, which nothing leaves, would hold
+    every symbol of the irreducible matrix, making it a permutation.
     """
     matrix = source.matrix
     if source.is_empty or target.is_empty:
         raise EmptyInput("source and target must be nonempty")
     if not source.contains_point(x):
         raise PreconditionFailed("the marked point does not lie in the source set")
-    mu = next(target.view(max(target.depth, 1)))
-    s, sp, u = distinct_path_pair(matrix, mu[-1])
-    m = max(source.depth, len(mu) + len(s) + 2)
-    nu = x.prefix(m)
-    xi = connect_path(matrix, u, nu[-1])
-    candidates = sorted(
-        (mu + branch + (u,) + xi + (nu[-1],) for branch in (s, sp))
+    start = max(source.depth, 2)
+    bound = max(start, target.depth + matrix.n)
+    for m in range(start, bound + 1):
+        nu = x.prefix(m)
+        hood = cylinder(matrix, nu)
+        if not target.is_subset_of(hood):
+            return hood, cylinder_involution(matrix, nu, target)
+    raise SearchLimitExceeded(
+        f"the target lies in the cylinder of x's prefix of length {bound}; "
+        "is the matrix a permutation?"
     )
-    head = len(mu) + len(s) + 1
-    chosen = next(c for c in candidates if c[:head] != nu[:head])
-    alpha = cylinder_swap(matrix, nu, chosen)
-    return cylinder(matrix, nu), alpha
 
 
 def check_involution_into(
@@ -478,25 +483,22 @@ def check_free_pair(
 def _disjoint_moved_cylinder(eta: TableMap) -> ClopenSet:
     """A cylinder Y with eta(Y) disjoint from Y, inside the support of eta.
 
-    Tries the moved entries of the reduced table's uniform view in
-    lexicographic order; they are the extensions of the moved domain words.
+    Reads the first moved code word nu of the reduced table: the least
+    extension of nu, at most |len(rho) - len(nu)| symbols longer, that the
+    rewrite to its image rho carries off itself.
     """
     g = eta.reduce()
     matrix = g.matrix
-    for word, image in zip(g.domain, g.images):
-        if image == word:
+    for nu, rho in zip(g.domain, g.images):
+        if rho == nu:
             continue
-        for nu in matrix.extensions(word, g.depth):
-            rho = image + nu[len(word):]
-            if _incomparable(nu, rho):
-                return cylinder(matrix, nu)
-            # the entry fixes one point of the cylinder, whose track repeats
-            # with period p = |len(rho) - len(nu)|; an unbranched cycle would
-            # be a permutation component, so the track branches within p
-            for extra in range(1, abs(len(rho) - len(nu)) + 1):
-                for t in matrix.extensions(nu, len(nu) + extra):
-                    if _incomparable(t, rho + t[len(nu):]):
-                        return cylinder(matrix, t)
+        # comparable nu and rho fix one point of the cylinder, whose track
+        # repeats with period p = |len(rho) - len(nu)|; an unbranched cycle
+        # would be a permutation component, so the track branches within p
+        for extra in range(abs(len(rho) - len(nu)) + 1):
+            for t in matrix.extensions(nu, len(nu) + extra):
+                if _incomparable(t, rho + t[len(nu):]):
+                    return cylinder(matrix, t)
     raise SearchLimitExceeded("no moved cylinder found; is the element trivial?")
 
 

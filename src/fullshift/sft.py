@@ -543,11 +543,8 @@ class EPPoint:
 
 
 def is_point_admissible(matrix: TransitionMatrix, point: EPPoint) -> bool:
-    if not matrix.is_admissible(point.pre) or not matrix.is_admissible(point.per):
-        return False
-    if point.pre and not matrix.arc(point.pre[-1], point.per[0]):
-        return False
-    return bool(matrix.arc(point.per[-1], point.per[0]))
+    # pre.per.per[0] holds every symbol and arc of the point
+    return matrix.is_admissible(point.pre + point.per + point.per[:1])
 
 
 def first_return(matrix: TransitionMatrix, sym: int, min_len: int = 1) -> Word:

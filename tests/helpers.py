@@ -396,23 +396,19 @@ def proper_subcylinder_oracle(clopen: ClopenSet) -> ClopenSet:
 
 
 def moved_cylinder_oracle(table: TableMap, cap: int = 64):
-    """The former library search for a cylinder Y with table(Y) disjoint from
-    Y: the moved entries of the reduced table's uniform view in order, each
-    followed down its fixed track for up to `cap` more symbols."""
+    """A cylinder Y with table(Y) disjoint from Y by the code rule: the
+    first moved code word of the reduced table in sorted order, followed
+    down its fixed track for up to `cap` more symbols, the least word of
+    each length first."""
     g = table.reduce()
     matrix, code = g.matrix, code_of(g)
-    for word in sorted(code):
-        image = code[word]
-        if image == word:
-            continue
-        for nu in matrix.extensions(word, g.depth):
-            rho = image + nu[len(word):]
-            for extra in range(cap):
-                for t in matrix.extensions(nu, len(nu) + extra):
-                    moved = rho + t[len(nu):]
-                    k = min(len(t), len(moved))
-                    if t[:k] != moved[:k]:
-                        return canonicalize_clopen(matrix, [t])
+    word = next(w for w in sorted(code) if code[w] != w)
+    for extra in range(cap):
+        for t in words_oracle(matrix, word, len(word) + extra):
+            moved = code[word] + t[len(word):]
+            k = min(len(t), len(moved))
+            if t[:k] != moved[:k]:
+                return canonicalize_clopen(matrix, [t])
     return None
 
 

@@ -51,7 +51,7 @@ from fullshift.constructions import (
     witness_search,
 )
 from fullshift.invariants import maps_onto_candidates
-from fullshift.sft import TransitionMatrix, format_word, least_gap
+from fullshift.sft import TransitionMatrix, first_return, format_word, least_gap
 from fullshift.tables import validate_images, validate_table
 
 from helpers import (
@@ -81,6 +81,7 @@ from helpers import (
     search_order_oracle,
     swap_inside,
     uniform_view_oracle,
+    words_oracle,
 )
 
 
@@ -113,6 +114,55 @@ def test_involution_into_is_deterministic():
     first = involution_into(u1, u2, one)
     second = involution_into(u1, u2, one)
     assert first == second
+
+
+def _inside_cylinder(target, nu) -> bool:
+    """Whether the target lies in the cylinder of nu: every extension of
+    its code words to length len(nu) and beyond starts with nu."""
+    matrix = target.matrix
+    return all(
+        w[: len(nu)] == nu
+        for c in target.code
+        for w in words_oracle(matrix, c, max(len(c), len(nu)))
+    )
+
+
+def test_involution_into_is_the_cylinder_involution_at_a_prefix_of_x():
+    rng = random.Random(21)
+    deeper = 0
+    for _ in range(240):
+        matrix = rng.choice(POOL + [FULL3])
+        source = random_clopen(rng, matrix, max_depth=3)
+        target = random_clopen(rng, matrix, max_depth=3)
+        word = rng.choice(source.code)
+        for _ in range(rng.randint(1, 4)):
+            word += (rng.choice(matrix.successors(word[-1] if word else 0)),)
+        x = EPPoint.make(word, first_return(matrix, word[-1]))
+        start = max(source.depth, 2)
+        m = start
+        while _inside_cylinder(target, x.prefix(m)):
+            m += 1
+        assert m <= max(start, target.depth + matrix.n), (source, target, x)
+        deeper += m > start
+        nu = x.prefix(m)
+        hood, alpha = involution_into(source, target, x)
+        assert hood == cylinder(matrix, nu)
+        assert alpha == cylinder_involution(matrix, nu, target)
+        assert_all(check_involution_into(source, target, x, hood, alpha))
+    assert deeper > 0
+
+
+def test_involution_into_past_forced_symbols():
+    # in GOLDEN 2 is always followed by 1, so cyl(1,2) = cyl(1,2,1) and
+    # the prefixes of (12)^inf hold the target up to length 3
+    target = cylinder(GOLDEN, (1, 2))
+    x = EPPoint.make((), (1, 2))
+    hood, alpha = involution_into(full_space(GOLDEN), target, x)
+    nu = (1, 2, 1, 2)
+    assert len(nu) == target.depth + GOLDEN.n
+    assert hood == cylinder(GOLDEN, nu)
+    assert alpha == cylinder_involution(GOLDEN, nu, target)
+    assert_all(check_involution_into(full_space(GOLDEN), target, x, hood, alpha))
 
 
 def test_swap_involution_examples():

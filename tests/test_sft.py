@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from itertools import product
 from math import inf
 
 import pytest
@@ -367,6 +368,29 @@ def test_point_admissibility_and_membership():
     assert not is_point_admissible(GOLDEN, EPPoint.make((), (2,)))
     assert cylinder(GOLDEN, (2, 1)).contains_point(x)
     assert not cylinder(GOLDEN, (1,)).contains_point(x)
+
+
+def test_point_admissibility_matches_the_oracle_prefix():
+    # pre.per.per.per[0] holds every arc of the point at least once
+    def admissible(matrix, pre, per):
+        x = EPPoint.make(pre, per)
+        expected = matrix.is_admissible(x.prefix(len(x.pre) + 2 * len(x.per) + 1))
+        assert is_point_admissible(matrix, x) == expected, (matrix.entries, x)
+        return expected
+
+    seen = set()
+    for matrix in POOL:
+        words = [w for k in range(4) for w in product(matrix.symbols(), repeat=k)]
+        seen |= {admissible(matrix, pre, per) for pre in words for per in words if per}
+        for bad in (0, matrix.n + 1):
+            assert not admissible(matrix, (bad,), (1, 2))
+            assert not admissible(matrix, (1,), (bad,))
+            assert not admissible(matrix, (), (1, bad))
+    assert seen == {True, False}
+    # only pre[-1] -> per[0] fails, then only per[-1] -> per[0]
+    assert not admissible(GOLDEN, (2,), (2, 1))
+    assert not admissible(GOLDEN, (), (2, 1, 1, 2))
+    assert admissible(GOLDEN, (1,), (2, 1))
 
 
 def test_point_in_every_random_clopen():
