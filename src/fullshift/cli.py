@@ -420,7 +420,7 @@ def _witness_search(args, report: Report) -> None:
     if args.support_in:
         conditions.append(lambda t: t.in_local_subgroup(args.support_in))
     if args.order is not None:
-        conditions.append(lambda t: t.order(max(args.order, 2)) == args.order)
+        conditions.append(lambda t: t.order(args.order) == args.order)
     found = cons.witness_search(
         args.matrix,
         lambda t: all(c(t) for c in conditions),

@@ -466,8 +466,8 @@ def check_free_pair(
     phi_f = phi.image_clopen(base)
     phi2_f = phi.image_clopen(phi_f)
     return [
-        ("psi has order 2", psi.order(3) == 2),
-        ("phi has order 3", phi.order(4) == 3),
+        ("psi has order 2", psi.order(2) == 2),
+        ("phi has order 3", phi.order(3) == 3),
         ("psi supported in O", psi.in_local_subgroup(region)),
         ("phi supported in O", phi.in_local_subgroup(region)),
         ("F nonempty inside O", (not base.is_empty) and base.is_subset_of(region)),

@@ -524,10 +524,13 @@ def gamma_equivalent(
     """Decide whether some group element carries one clopen set onto the
     other, within search bounds.
 
-    Unequal cokernel classes certify a negative (the class is conserved
-    by every table since row-compatible symbols share one class).  Equal
-    classes launch :func:`witness_search` with the exact maps-onto filter,
-    whose first table is the witness; exhaustion stays undecided.
+    A group element maps the space onto itself, so the empty set and the
+    whole space are each equivalent only to themselves.  Equal sets are
+    equivalent by the identity; unequal cokernel classes certify a negative
+    (the class is conserved by every table since row-compatible symbols
+    share one class).  Equal classes launch :func:`witness_search` with the
+    exact maps-onto filter, whose first table is the witness; exhaustion
+    stays undecided.
     """
     if depth_bound < 1 or image_bound < 1:
         raise BadInput("search bounds must be at least 1")
@@ -542,6 +545,9 @@ def gamma_equivalent(
         )
     if u == v:
         return EquivalenceResult("equivalent", TableMap.identity(matrix), "equal sets")
+    if u.is_full or v.is_full:
+        reason = "only the whole space is equivalent to the whole space"
+        return EquivalenceResult("not_equivalent", None, reason)
     group, _ = bowen_franks(matrix)
     cu = clopen_class(u, group)
     cv = clopen_class(v, group)

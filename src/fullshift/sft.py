@@ -537,9 +537,7 @@ class EPPoint:
         return EPPoint(EMPTY_WORD, self.per[j:] + self.per[:j])
 
     def __repr__(self):
-        pre = ",".join(map(str, self.pre))
-        per = ",".join(map(str, self.per))
-        return f"EPPoint({pre}|{per})"
+        return f"EPPoint({format_point(self)})"
 
 
 def is_point_admissible(matrix: TransitionMatrix, point: EPPoint) -> bool:
@@ -549,15 +547,8 @@ def is_point_admissible(matrix: TransitionMatrix, point: EPPoint) -> bool:
 
 def first_return(matrix: TransitionMatrix, sym: int, min_len: int = 1) -> Word:
     """Lexicographically least shortest word r with sym.r admissible, r ending
-    back at sym, of length >= min_len.  A breadth-first search over states:
-    per length it keeps only the least word ending at each symbol."""
-    best = {a: (a,) for a in matrix.successors(sym)}
-    cap = matrix.n * matrix.n + min_len + 2
-    for length in range(1, cap + 1):
-        if length >= min_len and sym in best:
-            return best[sym]
-        best = _extend_least_words(matrix, best)
-    raise SearchLimitExceeded(f"no return word at symbol {sym} within length {cap}")
+    back at sym, of length >= min_len: :func:`_least_path` from sym to sym."""
+    return _least_path(matrix, sym, sym, min_len)
 
 
 def second_return(matrix: TransitionMatrix, sym: int, ret: Word) -> Word:
@@ -651,21 +642,27 @@ def _extend_least_words(matrix: TransitionMatrix, best: dict[int, Word]) -> dict
     return out
 
 
-def connect_path(matrix: TransitionMatrix, u: int, v: int) -> Word:
-    """Shortest (possibly empty) word xi with u.xi.v admissible.
-
-    Irreducibility guarantees existence; among shortest solutions the
-    lexicographically least is returned.
-    """
-    if matrix.arc(u, v):
-        return EMPTY_WORD
-    best = {a: (a,) for a in matrix.successors(u)}
-    for _ in range(matrix.n + 1):
-        hits = [w for a, w in best.items() if matrix.arc(a, v)]
-        if hits:
-            return min(hits)
+def _least_path(matrix: TransitionMatrix, u: int, v: int, min_len: int) -> Word:
+    """The least word r among the shortest with len(r) >= min_len, u.r
+    admissible and r ending at v, keeping per length the least word that
+    ends at each symbol; r is nonempty, so a min_len below 1 counts as 1.
+    It has at most min_len + n - 1 symbols: a walk of min_len - 1 symbols
+    from u, then the shortest nonempty path on to v, whose symbols differ
+    (else a loop could be cut), is such a word."""
+    best = {a: (a,) for a in matrix._succ[u]}
+    length = 1
+    while length < min_len or v not in best:
+        if length == (cap := max(min_len, 1) + matrix.n - 1):
+            raise SearchLimitExceeded(f"no path from {u} to {v} within min_len + n - 1 = {cap}")
         best = _extend_least_words(matrix, best)
-    raise SearchLimitExceeded(f"no path from {u} to {v}; matrix not irreducible?")
+        length += 1
+    return best[v]
+
+
+def connect_path(matrix: TransitionMatrix, u: int, v: int) -> Word:
+    """The least among the shortest words xi with u.xi.v admissible:
+    :func:`_least_path` from u to v, less its last symbol v."""
+    return _least_path(matrix, u, v, 1)[:-1]
 
 
 def distinct_path_pair(matrix: TransitionMatrix, frm: int) -> tuple[Word, Word, int]:

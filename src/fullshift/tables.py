@@ -117,11 +117,8 @@ class TableMap:
         extensions = self.matrix.extensions
         for nu, rho in zip(self.domain, self.images):
             k = len(nu)
-            if k == depth:
-                yield nu, rho
-            else:
-                for w in extensions(nu, depth):
-                    yield w, rho + w[k:]
+            for w in extensions(nu, depth):
+                yield w, rho + w[k:]
 
     def entry_count(self) -> int:
         """``len(self.entries)``, counted without building the view."""

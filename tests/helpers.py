@@ -262,6 +262,20 @@ def first_return_oracle(matrix: TransitionMatrix, sym: int, min_len: int = 1):
     return None
 
 
+def connect_path_oracle(matrix: TransitionMatrix, u: int, v: int):
+    """The least word xi among the shortest with u.xi.v admissible, by
+    listing every admissible word leaving u, level by level in
+    lexicographic order, and testing each for an arc into v."""
+    symbols = range(1, matrix.n + 1)
+    level = [()]
+    for _ in range(matrix.n):
+        for xi in level:
+            if matrix.arc(xi[-1] if xi else u, v):
+                return xi
+        level = [xi + (a,) for xi in level for a in symbols if matrix.arc(xi[-1] if xi else u, a)]
+    return None
+
+
 def second_return_oracle(matrix: TransitionMatrix, sym: int, ret):
     """The first return word at sym of length >= 3 that is prefix-incomparable
     with ret, by enumerating every admissible word of each length in
@@ -965,14 +979,6 @@ def group_element_orders(torsion) -> dict[int, int]:
 # homomorphism-matrix oracle for pointed isomorphism
 
 
-def hom_count(factors) -> int:
-    total = 1
-    for di in factors:
-        for dj in factors:
-            total *= gcd(di, dj)
-    return total
-
-
 def pointed_match_oracle(factors, u, v, leaf_cap=None):
     """Whether some automorphism of the product of cyclic groups carries u
     to v, by exhausting homomorphism matrices; None when a leaf cap is
@@ -1124,30 +1130,6 @@ def _prime_list(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _det_mod_p(mat, p):
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = 1
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] % p:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
 
 
 def invariant_factor_lists(limit: int):

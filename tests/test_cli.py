@@ -14,21 +14,40 @@ from pathlib import Path
 import pytest
 
 import fullshift.cli as cli
+import fullshift.constructions as cons
 from fullshift.cli import COMMANDS, CONSTRUCTIONS, SYMBOL_LIMIT, run
 from fullshift.constructions import MASK_BIT_LIMIT, search_tables, witness_search
 from fullshift.errors import ImagesDontCover
+from fullshift.invariants import bowen_franks, clopen_class
 from fullshift.sft import (
     CYLINDER_LIMIT,
+    canonicalize_clopen,
     cylinder,
     empty_set,
     format_clopen_text,
     format_matrix_text,
+    format_point,
+    format_word,
     full_space,
+    parse_clopen_text,
     parse_matrix_text,
 )
 from fullshift.tables import TableMap, format_table_text, parse_table_text, validate_table
 
-from helpers import POOL, FULL2, FULL3, FULL4, GOLDEN, cylinder_swap, long_cycle, random_clopen
+from helpers import (
+    POOL,
+    FULL2,
+    FULL3,
+    FULL4,
+    GOLDEN,
+    cokernel_orders,
+    cylinder_swap,
+    long_cycle,
+    random_clopen,
+    random_table,
+    shift_determinant_oracle,
+    swap_inside,
+)
 
 
 @pytest.fixture
@@ -521,6 +540,204 @@ def test_construct_transports_on_a_long_cycle(files, tmp_path, capsys):
         report = capsys.readouterr().out
         assert code == 0, report
         assert "CHECK" in report and "FAIL" not in report and "ERROR" not in report
+
+
+def test_commands_and_constructions_report_the_library_values(tmp_path, capsys):
+    # the commands, construction ids and error paths no other test runs, on
+    # seeded inputs: each report is the library's values line for line,
+    # every check passes and each written file is the library result's text
+    rng = random.Random(24)
+    out = str(tmp_path / "out")
+
+    def summary(c):
+        if c.is_empty or c.is_full:
+            return "EMPTY" if c.is_empty else "FULL"
+        return f"depth {c.depth}: " + " ".join(map(format_word, c.sorted_words()))
+
+    def checks(results):
+        assert all(ok for _, ok in results), results
+        return [f"CHECK {name}: PASS" for name, _ in results]
+
+    def expect(argv, lines, written=(), code=0):
+        assert run(argv) == code
+        assert capsys.readouterr().out.splitlines() == [f"COMMAND: {argv[0]}", *lines]
+        for path, text in written:
+            assert Path(path).read_text() == text
+
+    for tag, matrix in (("full2", FULL2), ("golden", GOLDEN), ("full3", FULL3)):
+
+        def write(name, text, parse):
+            path = tmp_path / f"{tag}.{name}"
+            path.write_text(text)
+            return str(path), parse(matrix, text)
+
+        def table_file(name, table):
+            return write(name, format_table_text(table), parse_table_text)
+
+        def clopen_file(name, clopen):
+            return write(name, format_clopen_text(clopen), parse_clopen_text)
+
+        mat = write("mat", format_matrix_text(matrix), lambda _, text: None)[0]
+        gp, g = table_file("g.tbl", random_table(rng, matrix))
+        hp, h = table_file("h.tbl", random_table(rng, matrix))
+
+        r = g.reduce()
+        expect(
+            ["reduce", mat, gp, "-o", out],
+            [f"DEPTH: {r.depth}", f"IDENTITY: {r.is_identity}", f"ARTIFACT: {out}"],
+            [(out, format_table_text(r))],
+        )
+        support, fixed = g.support_and_fixed()
+        expect(
+            ["support", mat, gp, "-o", out],
+            [
+                f"SUPPORT: {summary(support)}",
+                f"FIXED-CLOPEN: {summary(fixed.clopen_part)}",
+                *(f"FIXED-POINT: {format_point(x)}" for x in fixed.isolated),
+                f"ARTIFACT: {out}",
+            ],
+            [(out, format_clopen_text(support))],
+        )
+        expect(["commutes", mat, gp, hp], [f"COMMUTES: {g.commutes(h)}"])
+        expect(["commutes", mat, gp, gp], ["COMMUTES: True"])
+
+        # a valid set written one level below its code, so canon has work
+        u = random_clopen(rng, matrix, 3, proper=True)
+        view = [f"D {u.depth + 1}", *map(format_word, sorted(u.refine(u.depth + 1)))]
+        up = write("view.clo", "\n".join(view) + "\n", parse_clopen_text)[0]
+        group, _ = bowen_franks(matrix)
+        expect(
+            ["clopen-class", mat, up],
+            [
+                f"GROUP: {group.describe()}",
+                "CLASS: " + " ".join(map(str, clopen_class(u, group).coords)),
+                "CERTIFICATE: cokernel class (K-theory identification)",
+            ],
+        )
+        expect(
+            ["clopen", mat, "canon", up, "-o", out],
+            [f"RESULT: {summary(u)}", f"ARTIFACT: {out}"],
+            [(out, format_clopen_text(u))],
+        )
+        expect(
+            ["clopen", mat, "union", up],
+            ["ERROR: FullShiftError: clopen union needs two operands"],
+            code=1,
+        )
+        expect(
+            ["witness-search", mat, "--depth-bound", "1", "--image-bound", "1"],
+            ["ERROR: FullShiftError: witness-search needs at least one condition"],
+            code=1,
+        )
+
+        # 2.2 and 4.4: gamma swaps a word a below [1] with a word b outside
+        # it and carries a proper part of [a] onto part of [b]
+        a, b = rng.choice([
+            (a, b)
+            for a in matrix.words(2)
+            for b in matrix.words(2)
+            if a[0] == 1 != b[0]
+            and matrix.row(a[-1]) == matrix.row(b[-1])
+            and len(matrix.successors(a[-1])) > 1
+        ])
+        children = [a + (s,) for s in matrix.successors(a[-1])]
+        part = canonicalize_clopen(matrix, rng.sample(children, rng.randrange(1, len(children))))
+        witness, gamma = table_file("gamma.tbl", cylinder_swap(matrix, a, b))
+        sp, source = clopen_file("u.clo", part)
+        ip, image = clopen_file("v.clo", gamma.image_clopen(source))
+        alpha = cons.swap_involution(source, image, gamma)
+        expect(
+            ["construct", "2.2", mat, "--U", sp, "--V", ip, "--witness", witness, "-o", out],
+            [f"ARTIFACT: {out}", *checks(cons.check_swap_involution(source, image, alpha))],
+            [(out, format_table_text(alpha))],
+        )
+        op, region = clopen_file("o.clo", cylinder(matrix, (1,)))
+        wp, w = clopen_file("w.clo", region.difference(source))
+        w2p, w2 = clopen_file("w2.clo", region.complement().difference(image))
+        us, vs, alphas, betas = cons.paired_transport(region, source, image, w, w2, gamma)
+        stem = str(tmp_path / "pair")
+        files = [
+            (f"{stem}.{kind}{i}.tbl", format_table_text(t))
+            for i, pair in enumerate(zip(alphas, betas), start=1)
+            for kind, t in zip(("alpha", "beta"), pair)
+        ]
+        expect(
+            [
+                "construct", "4.4", mat, "--O", op, "--U", sp, "--V", ip,
+                "--W", wp, "--W2", w2p, "--witness", witness, "-o", f"{stem}.tbl",
+            ],
+            [
+                f"PARTS: {len(us)}",
+                *(f"ARTIFACT: {path}" for path, _ in files),
+                *checks(cons.check_paired_transport(
+                    region, source, image, w, w2, gamma, us, vs, alphas, betas
+                )),
+            ],
+            files,
+        )
+
+        # 4.1: a cylinder of depth 2 or 3 sent into a set that it misses
+        nu = rng.choice(matrix.words(rng.choice([2, 3])))
+        target = random_clopen(rng, matrix, 2)
+        while target.is_subset_of(cylinder(matrix, nu)):
+            target = random_clopen(rng, matrix, 2)
+        tp, target = clopen_file("target.clo", target)
+        alpha = cons.cylinder_involution(matrix, nu, target)
+        expect(
+            ["construct", "4.1", mat, "--nu", format_word(nu), "--V", tp, "-o", out],
+            [f"ARTIFACT: {out}", *checks(cons.check_cylinder_involution(matrix, nu, target, alpha))],
+            [(out, format_table_text(alpha))],
+        )
+
+        # 3.11: eta is local to [1,1], and U is the rest of [1], which eta
+        # leaves fixed, so the conjugator is not the identity
+        ep, eta = table_file("eta.tbl", swap_inside(rng, cylinder(matrix, (1, 1))))
+        lp, local = clopen_file("local.clo", region.difference(eta.support()))
+        conjugator = cons.localize_conjugate(eta, local, region)
+        assert not conjugator.is_identity
+        expect(
+            ["construct", "3.11", mat, "--eta", ep, "--U", lp, "--O", op, "-o", out],
+            [
+                f"ARTIFACT: {out}",
+                *checks(cons.check_localize_conjugate(eta, local, region, conjugator)),
+            ],
+            [(out, format_table_text(conjugator))],
+        )
+
+
+def test_free_rank_branches_of_bf_and_decide_iso(files, tmp_path, capsys):
+    # det(I - A) = 0 for both matrices, so each cokernel has a free part
+    z3 = [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
+    z4 = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0]]
+    paths = {}
+    for name, rows in (("z3", z3), ("z4", z4)):
+        matrix = parse_matrix_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows))
+        assert shift_determinant_oracle(matrix) == 0
+        paths[name] = tmp_path / f"{name}.mat"
+        paths[name].write_text(format_matrix_text(matrix))
+    # FULL2's cokernel is finite, and the enumeration oracle finds it trivial
+    assert cokernel_orders([[0, 1], [1, 0]]) == (1, {1: 1}, 1)
+    assert run(["decide-iso", str(paths["z3"]), files["full2.mat"]]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert "GROUP-A: Z" in report and "GROUP-B: 0" in report
+    assert report[-3:] == [
+        "POINTED: not_isomorphic", "VERDICT: NOT_ISOMORPHIC", "REASON: free ranks differ"
+    ]
+    # y = (1, -1, 0, 1) has A y = y, so x -> y.x is a homomorphism from the
+    # cokernel of A^t - I onto Z that sends the all-ones class to 1: its
+    # order is infinite
+    y = (1, -1, 0, 1)
+    assert all(sum(v * c for v, c in zip(row, y)) == yi for row, yi in zip(z4, y))
+    assert sum(y) == 1
+    assert run(["bf", str(paths["z4"])]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "GROUP: Z",
+        "INVARIANT-FACTORS: none",
+        "FREE-RANK: 1",
+        "UNIT-CLASS: 0 0 0 1",
+        "UNIT-ORDER: infinite",
+        "DET: 0",
+    ]
 
 
 def test_clopen_union_past_the_recursion_limit(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import is named somewhere in its
-module, and no library module imports another's private name.  Package
-``__init__`` modules are exempt from the first rule: their imports are the
-package's re-exports."""
+module, no library module imports another's private name, and every
+function of ``tests/helpers.py`` has a caller.  Package ``__init__``
+modules are exempt from the first rule: their imports are the package's
+re-exports."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,42 @@ def test_no_library_module_imports_a_private_name():
         if (names := private_imports(path.read_text()))
     }
     assert not found, found
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """The names a syntax tree refers to: bare names, attributes and the
+    names its ``from`` imports bring in."""
+    named = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            named.update(a.name for a in n.names)
+    return named
+
+
+def uncalled_helpers(helpers: str, tests: list[str]) -> list[str]:
+    """The top-level functions of a helpers module that no test module
+    names and no other top-level statement of the helpers module names."""
+    named = set().union(*(names_in(ast.parse(source)) for source in tests))
+    functions = []
+    for node in ast.parse(helpers).body:
+        own = node.name if isinstance(node, ast.FunctionDef) else None
+        named |= names_in(node) - {own}
+        if own:
+            functions.append(own)
+    return [name for name in functions if name not in named]
+
+
+def test_uncalled_helpers_are_caught():
+    helpers = "def a(): return b()\ndef b(): return 1\ndef c(): return c()\ndef d(): ...\n"
+    tests = ["from helpers import d\n"]
+    assert uncalled_helpers(helpers, tests) == ["a", "c"]
+
+
+def test_every_helper_has_a_caller():
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert len(tests) > 5
+    assert uncalled_helpers((ROOT / "tests" / "helpers.py").read_text(), tests) == []

@@ -45,6 +45,7 @@ from helpers import (
     primary_orbit_oracle,
     random_clopen,
     random_matrix,
+    random_table,
     search_order_oracle,
     shift_determinant_oracle,
     smith_normal_form_oracle,
@@ -220,8 +221,6 @@ def test_clopen_class_well_defined_under_refinement():
 
 def test_clopen_class_additive_and_invariant():
     rng = random.Random(25)
-    from helpers import random_table
-
     for _ in range(40):
         matrix = rng.choice(POOL)
         group, _ = bowen_franks(matrix)
@@ -430,6 +429,26 @@ def test_gamma_equivalent_spec_examples():
 
     assert gamma_equivalent(empty_set(f3), empty_set(f3)).status == "equivalent"
     assert gamma_equivalent(empty_set(f3), u1).status == "not_equivalent"
+
+
+def test_gamma_equivalent_whole_space_only_to_itself(monkeypatch):
+    # a group element maps the space onto itself, so the whole space
+    # against a proper set is refuted before any class or search
+    monkeypatch.setattr(
+        "fullshift.invariants.witness_search",
+        lambda *args: pytest.fail("the whole space needs no search"),
+    )
+    rng = random.Random(24)
+    for matrix in (FULL2, GOLDEN, DENSE3, FULL3):
+        whole = full_space(matrix)
+        for proper in (cylinder(matrix, (1,)), random_clopen(rng, matrix, 3, proper=True)):
+            for u, v in ((whole, proper), (proper, whole)):
+                result = gamma_equivalent(u, v)
+                assert result.status == "not_equivalent" and result.witness is None
+                assert result.reason == "only the whole space is equivalent to the whole space"
+        assert gamma_equivalent(whole, whole).status == "equivalent"
+        for _ in range(10):
+            assert random_table(rng, matrix).image_clopen(whole) == whole
 
 
 def test_gamma_equivalent_negative_backed_by_search():

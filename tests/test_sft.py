@@ -16,6 +16,7 @@ from fullshift import (
     MatrixMismatch,
     NotEssential,
     NotIrreducible,
+    SearchLimitExceeded,
     canonicalize_clopen,
     connect_path,
     cylinder,
@@ -25,6 +26,7 @@ from fullshift import (
     validate_matrix,
 )
 from fullshift.sft import (
+    TransitionMatrix,
     first_return,
     format_clopen_text,
     format_matrix_text,
@@ -43,6 +45,8 @@ from helpers import (
     FULL4,
     GOLDEN,
     POOL,
+    RING3,
+    connect_path_oracle,
     distinct_path_pair_oracle,
     ep_apply_oracle,
     ep_oracle,
@@ -241,13 +245,33 @@ def test_connect_path_postconditions_randomized():
         assert matrix.is_admissible(chain)
 
 
+def test_connect_path_matches_enumeration_oracle():
+    rng = random.Random(24)
+    matrices = POOL + [FULL3] + [random_matrix(rng, rng.randint(2, 7)) for _ in range(60)]
+    for matrix in matrices:
+        for u in matrix.symbols():
+            for v in matrix.symbols():
+                assert connect_path(matrix, u, v) == connect_path_oracle(matrix, u, v)
+
+
+def test_first_return_reaches_its_bound():
+    # RING3 is 1 -> 2 -> 3 -> 1 with 3 -> 2: the return at 1 takes all
+    # min_len + n - 1 = 3 symbols the search allows
+    assert first_return(RING3, 1) == (2, 3, 1)
+    assert first_return(RING3, 1, min_len=4) == (2, 3, 2, 3, 1)
+    # an unvalidated reducible matrix: 2 never reaches 1, and the refusal
+    # names the bound that stopped the search
+    with pytest.raises(SearchLimitExceeded, match=r"within min_len \+ n - 1 = 2$"):
+        connect_path(TransitionMatrix(((1, 1), (0, 1))), 2, 1)
+
+
 def test_first_return_matches_enumeration_oracle():
     for matrix in POOL + [FULL3, FULL4]:
         for sym in matrix.symbols():
             for min_len in range(1, 5):
                 ret = first_return(matrix, sym, min_len)
                 assert ret == first_return_oracle(matrix, sym, min_len)
-                assert len(ret) >= min_len and ret[-1] == sym
+                assert min_len <= len(ret) <= min_len + matrix.n - 1 and ret[-1] == sym
                 assert matrix.is_admissible((sym,) + ret)
 
 
