@@ -9,6 +9,9 @@ subset of the shift space if and only if they compare equal.  A clopen
 set stores its maximal cylinders as a sorted tuple, and ``TableMap`` its
 domain beside the aligned images, so a deep cylinder costs one word and
 the walks along a code (:func:`cut`, :func:`merge_siblings`) never sort.
+A clopen set, like a table, is a slotted value that stores its code and
+the code's depth, found on first read; the run of a table's domain
+cylinders under one set word takes two bisections.
 The words of one depth are computed when read, for the text formats.
 Both codes are reduced by one sweep, :func:`merge_siblings`: a clopen set
 is a table whose every word is fixed.  :meth:`TransitionMatrix.count_within`
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 from typing import Iterable, Iterator, Sequence
 
@@ -268,28 +270,48 @@ def cut(matrix: TransitionMatrix, code: Sequence[Word], word: Word) -> list[tupl
     return out
 
 
-@dataclass(frozen=True)
 class ClopenSet:
     """A clopen subset as its reduced prefix code: its maximal cylinders,
     a sorted tuple of prefix-incomparable words with no complete sibling
     family.  The code is unique, so equal sets have equal codes; the empty
     set has no word and the whole space the empty word alone.
 
-    ``depth``, the longest code word (found once), is the least depth at
-    which the set is a union of cylinders of one length.  :meth:`view`
-    streams the set's words of such a depth in sorted order; ``words``,
-    :meth:`refine` and the text format list them once :meth:`_check_view`
-    has counted them.  Only the greatest code word at most w can be a
-    prefix of w, so membership is one bisection, and the relations are
-    built from such lookups without padding any word.
+    ``depth``, the longest code word, is found on first read and then
+    kept, as ``TableMap.depth`` is; it is the least depth at which the set
+    is a union of cylinders of one length.  :meth:`view` streams the set's
+    words of such a depth in sorted order; ``words``, :meth:`refine` and
+    the text format list them once :meth:`_check_view` has counted them.
+    Only the greatest code word at most w can be a prefix of w, so
+    membership is one bisection, and the relations are built from such
+    lookups without padding any word.  Immutable after construction; two
+    sets are equal when their codes and matrices are.
     """
 
-    matrix: TransitionMatrix
-    code: Code
+    __slots__ = ("matrix", "code", "_depth")
 
-    @cached_property
+    def __init__(self, matrix: TransitionMatrix, code: Code):
+        self.matrix = matrix
+        self.code = code
+        self._depth: int | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ClopenSet):
+            return NotImplemented
+        return self.code == other.code and (
+            self.matrix is other.matrix or self.matrix == other.matrix
+        )
+
+    def __hash__(self):
+        return hash((self.matrix, self.code))
+
+    def __repr__(self):
+        return f"ClopenSet(matrix={self.matrix!r}, code={self.code!r})"
+
+    @property
     def depth(self) -> int:
-        return max(map(len, self.code)) if self.code else 0
+        if self._depth is None:
+            self._depth = max(map(len, self.code)) if self.code else 0
+        return self._depth
 
     @property
     def is_empty(self) -> bool:
@@ -442,13 +464,15 @@ def merge_siblings(
     succ = matrix._succ
     stack: list[Word] = []
     runs: list[int] = []  # runs[i]: stack[i] and its siblings right below it
+    # stack[-1], set at each push and merge; the empty word on an empty
+    # stack, where no nonempty word's length matches it
+    top = EMPTY_WORD
     for w in words:
-        if stack and w[: len(stack[-1])] == stack[-1]:
+        if stack and w[: len(top)] == top:
             continue
         run = 1
         while w:
             parent = w[:-1]
-            top = stack[-1] if stack else EMPTY_WORD
             run = runs[-1] + 1 if len(top) == len(w) and top[:-1] == parent else 1
             up = succ[parent[-1] if parent else 0]
             if up[-1] != w[-1] or run < len(up):
@@ -462,9 +486,11 @@ def merge_siblings(
                     break
                 moved[parent] = image
             del stack[len(stack) + 1 - run :], runs[len(runs) + 1 - run :]
+            top = stack[-1] if stack else EMPTY_WORD
             w = parent
         stack.append(w)
         runs.append(run)
+        top = w
     return stack
 
 

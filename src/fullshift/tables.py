@@ -33,7 +33,7 @@ word they are constant.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Iterator, Mapping
@@ -300,22 +300,24 @@ class TableMap:
         lies in one domain cylinder, whose word is a prefix of w and whose
         image carries w with its suffix, or is the union of the run of
         domain cylinders whose words extend w, each carried whole.  One
-        bisection, from where the previous set word's ended, finds either;
-        the cost follows the set's code and the image, not the domain."""
-        if self.matrix != clopen.matrix:
+        bisection, from where the previous set word's ended, finds the
+        domain cylinder or the start of the run; a second finds its end,
+        below w followed by a symbol past n.  The cost follows the set's
+        code and the image, not the domain."""
+        matrix = self.matrix
+        if matrix is not clopen.matrix and matrix != clopen.matrix:
             raise MatrixMismatch("clopen set lives over a different matrix")
         domain, images, out = self.domain, self.images, []
-        last, i = len(domain), 0
+        past, i = (matrix.n + 1,), 0
         for w in clopen.code:
             i = bisect_right(domain, w, i)
             if i and w[: len(nu := domain[i - 1])] == nu:
                 out.append(images[i - 1] + w[len(nu):])
                 continue
-            k = len(w)
-            while i < last and domain[i][:k] == w:
-                out.append(images[i])
-                i += 1
-        return canonicalize_clopen(self.matrix, out, trusted=True)
+            j = bisect_left(domain, w + past, i)
+            out += images[i:j]
+            i = j
+        return canonicalize_clopen(matrix, out, trusted=True)
 
     def split_invariant(self, region: ClopenSet) -> tuple["TableMap", "TableMap"]:
         """Factor over an invariant clopen set: a piece supported inside it

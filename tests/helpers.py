@@ -143,6 +143,16 @@ def random_clopen(
     raise AssertionError("could not sample a clopen set")
 
 
+def random_complete_code(rng: random.Random, matrix: TransitionMatrix, word, rounds: int) -> list:
+    """A complete prefix code under word: word split into its one-symbol
+    extensions, then a random code word split the same way, rounds times."""
+    code = [word]
+    for _ in range(rounds):
+        w = code.pop(rng.randrange(len(code)))
+        code += [w + (a,) for a in matrix.successors(w[-1] if w else 0)]
+    return code
+
+
 def random_swap(rng: random.Random, matrix: TransitionMatrix, max_len: int = 2) -> TableMap:
     """A random involution exchanging two disjoint row-compatible cylinders."""
     words = [w for k in range(1, max_len + 1) for w in matrix.words(k)]

@@ -55,9 +55,12 @@ from helpers import (
     first_return_oracle,
     long_cycle,
     random_clopen,
+    random_complete_code,
     random_matrix,
     random_table,
     second_return_oracle,
+    uniform_clopen_oracle,
+    uniform_form,
 )
 
 
@@ -156,6 +159,80 @@ def test_canonicalize_idempotent_and_denotation_preserving():
         deep = canonicalize_clopen(matrix, raw.refine(raw.depth + 2))
         assert deep == raw
         assert all(raw.contains_word(w) == deep.contains_word(w) for w in probe[:40])
+
+
+def test_clopen_set_keeps_its_value_contract():
+    # two matrices validated separately from the same rows are equal, not
+    # the same object, and so are the sets over them
+    twin = validate_matrix([[1, 1], [1, 1]])
+    assert twin is not FULL2
+    x, y = cylinder(FULL2, (1, 2)), cylinder(twin, (1, 2))
+    assert x == y and not x != y and hash(x) == hash(y) == hash((FULL2, ((1, 2),)))
+    # equal codes over different matrices are different sets
+    assert cylinder(FULL2, (1,)).code == cylinder(GOLDEN, (1,)).code
+    assert cylinder(FULL2, (1,)) != cylinder(GOLDEN, (1,))
+    # a set is never equal to its code, or to anything but a set
+    assert cylinder(FULL2, (1,)) != ((1,),) and not cylinder(FULL2, (1,)) == ((1,),)
+    assert full_space(FULL2) != "FULL"
+    assert repr(cylinder(FULL2, (1,))) == "ClopenSet(matrix=TransitionMatrix(2x2), code=((1,),))"
+    assert repr(empty_set(GOLDEN)) == "ClopenSet(matrix=TransitionMatrix(2x2), code=())"
+    assert empty_set(FULL2).depth == 0 and full_space(FULL2).depth == 0
+    mixed = canonicalize_clopen(FULL2, [(1,), (2, 1, 1)])
+    assert mixed.depth == 3 and mixed.depth == 3  # the second read is the kept value
+    assert cylinder(FULL2, (1,) * 40).complement().depth == 40
+    # equal sets are one key
+    assert len({x, y, cylinder(FULL2, (1, 2)), cylinder(FULL2, (1,))}) == 2
+    assert {x: 1, y: 2} == {cylinder(FULL2, (1, 2)): 2}
+
+
+def test_trusted_canonical_form_matches_the_oracle_on_union_inputs():
+    # the words union passes, two codes one after the other, with nested and
+    # repeated words added, in any order
+    rng = random.Random(2503)
+    for matrix in POOL + [FULL3]:
+        for _ in range(30):
+            x = random_clopen(rng, matrix, max_depth=3)
+            y = random_clopen(rng, matrix, max_depth=3)
+            words = list(x.code + y.code)
+            for w in rng.sample(words, min(3, len(words))):
+                words.append(w)
+                words.append(w + (rng.choice(matrix.successors(w[-1] if w else 0)),))
+            rng.shuffle(words)
+            canon = canonicalize_clopen(matrix, words, trusted=True)
+            assert uniform_form(canon) == uniform_clopen_oracle(matrix, words), words
+            assert canon == x.union(y)
+
+
+def test_canonical_form_merges_families_up_to_the_empty_word():
+    # a complete code under a word merges back into that word's cylinder,
+    # and a complete code of the space cascades up to the empty word
+    rng = random.Random(2504)
+    for matrix in POOL + [FULL3]:
+        for _ in range(20):
+            code = random_complete_code(rng, matrix, (), rng.randint(1, 12))
+            assert canonicalize_clopen(matrix, code, trusted=True).is_full, code
+            assert uniform_clopen_oracle(matrix, code) == (0, frozenset({()}))
+            stem = rng.choice(matrix.words(rng.randint(1, 3)))
+            code = random_complete_code(rng, matrix, stem, rng.randint(1, 10))
+            # a sibling before the family keeps the cascade from stopping at
+            # a run of one
+            words = code + [w for w in matrix.words(len(stem)) if w < stem]
+            canon = canonicalize_clopen(matrix, words, trusted=True)
+            assert uniform_form(canon) == uniform_clopen_oracle(matrix, words), words
+
+
+def test_canonical_form_follows_chains_of_forced_symbols():
+    # on GOLDEN, 2 has the one follower 1; on RING3, 1 and 2 have one each,
+    # so the words through a chain merge one level per forced symbol
+    for matrix in (GOLDEN, RING3):
+        for length in range(1, 7):
+            for words in [
+                [w for w in matrix.words(length) if w[0] == start] for start in matrix.symbols()
+            ] + [list(matrix.words(length))]:
+                canon = canonicalize_clopen(matrix, words, trusted=True)
+                assert uniform_form(canon) == uniform_clopen_oracle(matrix, words), words
+    assert canonicalize_clopen(RING3, [(1, 2, 3, 1), (1, 2, 3, 2)]) == cylinder(RING3, (1,))
+    assert canonicalize_clopen(GOLDEN, [(2, 1, 1), (2, 1, 2)]) == cylinder(GOLDEN, (2,))
 
 
 def test_boolean_ops_spec_cases():

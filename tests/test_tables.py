@@ -48,6 +48,7 @@ from helpers import (
     maps_agree_oracle,
     merge_families_oracle,
     random_clopen,
+    random_complete_code,
     random_cycles,
     random_swap,
     random_table,
@@ -292,6 +293,51 @@ def test_image_clopen_matches_the_view_oracle():
             for u in sets:
                 image = table.image_clopen(u)
                 assert uniform_form(image) == image_clopen_oracle(table, u), (table, u.code)
+
+
+def test_image_clopen_runs_match_the_view_oracle_at_the_domain_ends():
+    # tables written at one depth, so that a set word shorter than every
+    # domain word is a run of them; a set word ending in symbol n, or the
+    # greatest word of its length, bounds its run by w followed by n + 1,
+    # and the greatest word's run ends at the end of the domain
+    rng = random.Random(2505)
+    for matrix in POOL + [FULL3]:
+        n = matrix.n
+        tables = [TableMap.identity(matrix)]
+        tables += [TableMap.identity(matrix).refine_to(d) for d in (1, 2, 3)]
+        for _ in range(6):
+            table = random_table(rng, matrix)
+            tables.append(table.refine_to(table.depth + 1))
+        for table in tables:
+            sets = [empty_set(matrix), full_space(matrix)]
+            for k in range(1, table.depth):
+                words = matrix.words(k)
+                sets += [cylinder(matrix, w) for w in words if w[-1] == n]
+                sets.append(cylinder(matrix, words[-1]))
+                sets.append(canonicalize_clopen(matrix, [words[0], words[-1]]))
+            for u in sets:
+                image = table.image_clopen(u)
+                assert uniform_form(image) == image_clopen_oracle(table, u), (table, u.code)
+                if table.is_identity:
+                    assert image == u
+
+
+def test_reduce_cascades_to_the_empty_word_as_the_oracle_merges():
+    # the identity written on a random complete code merges level by level
+    # into the one word EMPTY; moved codes split the same way merge back into
+    # their table, through families of one child on GOLDEN and RING3
+    rng = random.Random(2506)
+    for matrix in POOL + [FULL3]:
+        for _ in range(15):
+            code = random_complete_code(rng, matrix, (), rng.randint(1, 12))
+            fixed = {w: w for w in code}
+            table = table_from(matrix, max(map(len, code)), fixed)
+            assert table.reduce().is_identity and table.reduce().domain == ((),)
+            assert merge_families_oracle(matrix, fixed) == {(): ()}
+            swap = random_swap(rng, matrix).reduce()
+            split = swap.refine_to(swap.depth + rng.randint(1, 2))
+            assert code_of(split.reduce()) == code_of(swap)
+            assert merge_families_oracle(matrix, code_of(split)) == code_of(swap)
 
 
 # U and V of the search workload's far pairs, which no FULL2 table within
