@@ -156,7 +156,7 @@ def _involution_checks(
     return [
         (f"alpha({s}) inside {t}", image.is_subset_of(target)),
         ("alpha has order 2", alpha.order(2) == 2),
-        (f"support inside {s} and alpha({s})", alpha.support().is_subset_of(source.union(image))),
+        (f"support inside {s} and alpha({s})", alpha.in_local_subgroup(source.union(image))),
     ]
 
 
@@ -212,7 +212,7 @@ def check_swap_involution(
     return [
         ("alpha(U) = V", alpha.image_clopen(u) == v),
         ("alpha has order 2", alpha.order(2) == 2),
-        ("identity outside U and V", alpha.support().is_subset_of(u.union(v))),
+        ("identity outside U and V", alpha.in_local_subgroup(u.union(v))),
     ]
 
 
@@ -516,7 +516,7 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
         raise PreconditionFailed("U must be nonempty")
     if not u.is_subset_of(region):
         raise PreconditionFailed("U must lie inside the region")
-    if eta.reduce().is_identity:
+    if eta.is_identity:
         raise PreconditionFailed("eta must be nontrivial")
     if not eta.in_local_subgroup(region):
         raise PreconditionFailed("eta must be local to the region")

@@ -143,6 +143,13 @@ class TableMap:
 
     @property
     def is_identity(self) -> bool:
+        """Whether every code word is its own image, on the code as given.
+
+        Exact on any valid code, reduced or not: a pair nu -> rho with rho
+        != nu fixes at most one point of the cylinder of nu (nu u u u ...,
+        when one of nu and rho is the other followed by u), and under
+        condition (I) no cylinder is a single point.
+        """
         return self.domain == self.images
 
     # -- pointwise action ---------------------------------------------------
@@ -167,25 +174,29 @@ class TableMap:
 
     # -- group operations ---------------------------------------------------
 
-    def compose(self, inner: "TableMap") -> "TableMap":
-        """self after inner, as a reduced table.
-
-        Each image cylinder of ``inner`` is cut along this table's domain
-        by :func:`cut`, which splits a cylinder only where some domain word
-        extends it; the pieces, in order, form the composed code.
-        """
+    def _pieces_after(self, inner: "TableMap") -> Iterator[tuple[Word, Word]]:
+        """A code of self after inner, piece by piece in sorted order: each
+        image cylinder of ``inner`` is cut along this table's domain by
+        :func:`cut`, which splits a cylinder only where some domain word
+        extends it, and each piece is paired with its image."""
         if self.matrix != inner.matrix:
             raise MatrixMismatch("cannot compose tables over different matrices")
         matrix, domain, outer = self.matrix, self.domain, self.images
-        words, images = [], []
         for nu, rho in zip(inner.domain, inner.images):
             k = len(rho)
             for w, i in cut(matrix, domain, rho):
                 if i < 0:
                     raise InadmissibleWord(f"word {format_word(w)} is not admissible")
-                words.append(nu + w[k:])
-                images.append(outer[i] + w[len(domain[i]):])
-        return TableMap(matrix, tuple(words), tuple(images)).reduce()
+                yield nu + w[k:], outer[i] + w[len(domain[i]):]
+
+    def compose(self, inner: "TableMap") -> "TableMap":
+        """self after inner, as a reduced table: the pieces of
+        :meth:`_pieces_after`, reduced."""
+        words, images = [], []
+        for w, image in self._pieces_after(inner):
+            words.append(w)
+            images.append(image)
+        return TableMap(self.matrix, tuple(words), tuple(images)).reduce()
 
     def inverse(self) -> "TableMap":
         """The inverse table: the code reversed, sorted by image.  Its depth
@@ -213,19 +224,28 @@ class TableMap:
 
     def order(self, bound: int, entry_cap: int = 4096) -> int | None:
         """Least k <= bound with the k-th power trivial, else None.  Also
-        None once a power's reduced code has more than entry_cap words."""
+        None once a power's reduced code has more than entry_cap words.
+
+        Each power is tested before it is built: g^k is g after g^(k-1),
+        and it is the identity when every piece of :meth:`_pieces_after` is
+        fixed, as :attr:`is_identity` asks of any code, so the test stops at
+        the first moved piece.  Only powers below the bound are built, so
+        ``order(2)`` builds no table at all, not even the reduced code; a
+        longer search composes with the reduced code, found once and kept.
+        """
         if bound < 1:
             raise BadInput("order bound must be at least 1")
-        g = self.reduce()
-        if g.is_identity:
+        if self.is_identity:
             return 1
-        acc = g
+        g = power = self
         for k in range(2, bound + 1):
-            acc = g.compose(acc)
-            if acc.is_identity:
+            if all(w == image for w, image in g._pieces_after(power)):
                 return k
-            if len(acc.domain) > entry_cap:
-                return None
+            if k < bound:
+                g = self.reduce()
+                power = g.compose(power)
+                if len(power.domain) > entry_cap:
+                    return None
         return None
 
     def commutes(self, other: "TableMap") -> bool:
@@ -288,11 +308,14 @@ class TableMap:
         A nonempty clopen set has no isolated points, so it cannot hide in
         finitely many isolated fixed points: the clopen fixed part must
         contain the whole complement, equivalently the support must sit
-        inside the region.
+        inside the region.  The support is the union of the moved domain
+        cylinders, so that asks one bisection of each moved code word, as
+        :meth:`ClopenSet.contains_word` does, and builds no support set.
         """
         if self.matrix != region.matrix:
             raise MatrixMismatch("region lives over a different matrix")
-        return self.support().is_subset_of(region)
+        inside = region.contains_word
+        return all(inside(nu) for nu, rho in zip(self.domain, self.images) if rho != nu)
 
     def image_clopen(self, clopen: ClopenSet) -> ClopenSet:
         """The image of a clopen set, as a canonical clopen set.  The domain

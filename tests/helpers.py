@@ -7,6 +7,7 @@ here, not in the package."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import gcd
 
 from fullshift import (
@@ -21,6 +22,7 @@ from fullshift import (
 from fullshift.constructions import cylinder_swap
 from fullshift.invariants import determinant
 from fullshift.sft import connect_path, first_return, format_word
+from fullshift.tables import validate_images
 
 FULL2 = validate_matrix([[1, 1], [1, 1]])
 GOLDEN = validate_matrix([[1, 1], [1, 0]])
@@ -208,6 +210,26 @@ def random_table(
         ):
             return table
     return random_swap(rng, matrix)
+
+
+def random_general_table(rng: random.Random, matrix: TransitionMatrix, max_rounds: int = 4) -> TableMap:
+    """A random valid table that need not be a product of swaps: two random
+    complete codes, drawn until each follower row has as many words in one
+    as in the other, paired row by row in a random order."""
+    for _ in range(300):
+        domain = random_complete_code(rng, matrix, (), rng.randint(2, max_rounds))
+        images = random_complete_code(rng, matrix, (), rng.randint(2, max_rounds))
+        if Counter(matrix.row(w[-1]) for w in domain) != Counter(matrix.row(w[-1]) for w in images):
+            continue
+        by_row: dict = {}
+        for w in images:
+            by_row.setdefault(matrix.row(w[-1]), []).append(w)
+        for group in by_row.values():
+            rng.shuffle(group)
+        pairs = {nu: by_row[matrix.row(nu[-1])].pop() for nu in domain}
+        validate_images(matrix, pairs, pairs.values())
+        return table_from(matrix, max(map(len, pairs)), pairs)
+    raise AssertionError("could not sample a general table")
 
 
 def swap_inside(rng: random.Random, region: ClopenSet, tries: int = 40) -> TableMap | None:

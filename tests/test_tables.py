@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -50,9 +51,11 @@ from helpers import (
     random_clopen,
     random_complete_code,
     random_cycles,
+    random_general_table,
     random_swap,
     random_table,
     table_from,
+    uniform_clopen_oracle,
     uniform_compose_oracle,
     uniform_form,
     uniform_inverse_oracle,
@@ -574,10 +577,22 @@ def _assert_matches_oracle(table, depth, entries):
                 assert table.apply(x) == oracle.apply(x)
 
 
+def _assert_order_matches_oracle_at_every_bound(table):
+    """order(b) for b = 1..6, below, at and above the order, against the
+    oracle, on the table as given, its reduced code and an unreduced
+    refinement; returns the oracle's answer at 6."""
+    forms = (table, table.reduce(), table.refine_to(table.depth + 1))
+    for bound in range(1, 7):
+        expected = uniform_order_oracle(table, bound)
+        assert [t.order(bound) for t in forms] == [expected] * 3, (table, bound)
+    return expected
+
+
 def test_sparse_arithmetic_matches_uniform_oracle_on_enumerated_tables():
     from fullshift.constructions import search_tables
 
     rng = random.Random(31)
+    orders = set()
     for matrix in (FULL2, GOLDEN):
         tables = list(search_tables(matrix, 2, 3))
         for t in tables:
@@ -585,10 +600,11 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_enumerated_tables():
                 t.reduce(), *uniform_reduce_oracle(matrix, t.depth, dict(t.entries))
             )
             _assert_matches_oracle(t.inverse(), *uniform_inverse_oracle(t))
-            assert t.order(6) == uniform_order_oracle(t, 6)
+            orders.add(_assert_order_matches_oracle_at_every_bound(t))
         for _ in range(150):
             a, b = rng.choice(tables), rng.choice(tables)
             _assert_matches_oracle(a.compose(b), *uniform_compose_oracle(a, b))
+    assert {1, 2, 3, None} <= orders
 
 
 def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
@@ -607,6 +623,72 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
         assert psi.order(3) == uniform_order_oracle(psi, 3) == 2
         # phi^2 has 3^8 uniform entries on FULL3, past the oracle's default cap
         assert phi.order(4) == 3 == uniform_order_oracle(phi, 4, entry_cap=6 * phi.entry_count())
+
+
+def test_order_matches_the_oracle_on_elements_beyond_products_of_swaps():
+    # two random complete codes paired row by row; an image that properly
+    # extends its domain word nests a cylinder strictly inside itself under
+    # every power, so such an element has infinite order
+    rng = random.Random(26)
+    orders, nesting = Counter(), 0
+    for matrix in POOL + [FULL3]:
+        for _ in range(20):
+            t = random_general_table(rng, matrix)
+            orders[_assert_order_matches_oracle_at_every_bound(t)] += 1
+            if any(len(rho) > len(nu) and rho[: len(nu)] == nu for nu, rho in code_of(t).items()):
+                nesting += 1
+                assert t.order(6) is None
+    assert nesting >= 10 and orders[None] > nesting
+    assert all(orders[k] for k in (1, 2, 3, 4))
+
+
+def test_order_2_builds_no_table(monkeypatch):
+    # an unreduced code of an involution and of an element of order 3:
+    # the square is asked of its pieces, never composed or reduced
+    rng = random.Random(8)
+    tables = [random_swap(rng, m).refine_to(3) for m in (FULL2, GOLDEN, FULL3)]
+    tables.append(cylinder_permutation(FULL3, [((1,), (2,), (3,))]))
+    built = []
+
+    def counted(name):
+        orig = getattr(TableMap, name)
+
+        def wrapper(*args):
+            built.append(name)
+            return orig(*args)
+        return wrapper
+
+    for name in ("compose", "reduce"):
+        monkeypatch.setattr(TableMap, name, counted(name))
+    assert [t.order(2) for t in tables] == [2, 2, 2, None]
+    assert built == []
+    assert tables[-1].order(3) == 3 and built
+
+
+def test_in_local_subgroup_matches_the_uniform_oracle():
+    # at d = max(table depth, region depth) every moved word of the
+    # table's uniform view lies in the region's least uniform form
+    rng = random.Random(2626)
+    seen = Counter()
+    for matrix in POOL + [FULL3]:
+        for _ in range(25):
+            t = rng.choice([random_table, random_general_table])(rng, matrix)
+            region = rng.choice([
+                empty_set(matrix),
+                full_space(matrix),
+                random_clopen(rng, matrix, 3),
+                t.support().union(random_clopen(rng, matrix, 3)),
+                t.support().difference(random_clopen(rng, matrix, 3)),
+            ])
+            depth, words = uniform_clopen_oracle(matrix, region.code)
+            view = uniform_view_oracle(t, max(t.depth, region.depth))
+            expected = all(rho == w or w[:depth] in words for w, rho in view.items())
+            for form in (t, t.refine_to(t.depth + 1)):
+                assert form.in_local_subgroup(region) == expected, (t, region)
+            seen[expected, len({len(w) for w in region.code}) > 1] += 1
+    assert all(seen[case] for case in [(True, False), (False, False), (True, True), (False, True)])
+    with pytest.raises(MatrixMismatch):
+        SWAP.in_local_subgroup(full_space(GOLDEN))
 
 
 def test_reduced_tables_hold_no_reference_cycle():
