@@ -95,41 +95,41 @@ def cylinder_permutation(matrix: TransitionMatrix, cycles: Sequence[Sequence[Wor
 # pointed involutions into a target
 
 
-def involution_into(
-    source: ClopenSet, target: ClopenSet, x: EPPoint
-) -> tuple[ClopenSet, TableMap]:
-    """An involution moving a small neighbourhood of x inside `source` into
-    `target`, identity elsewhere.
-
-    Returns (V, alpha) with x in V, V inside the source, alpha(V) inside
-    the target, alpha an involution supported on V and alpha(V): V is the
-    cylinder of nu = x.prefix(m) for the least m >= max(source.depth, 2)
-    whose cylinder does not contain the target, and alpha is the
-    :func:`cylinder_involution` of nu into the target.
-
-    Some m <= max(source.depth, 2, target.depth + n) qualifies.  Were the
-    target inside the cylinder of x.prefix(m) with m >= target.depth + n,
-    the n or more symbols past a target code word would be forced, each
-    the only successor of the one before.  A forced chain of n steps
-    repeats a symbol; the cycle between, which nothing leaves, would hold
-    every symbol of the irreducible matrix, making it a permutation.
-    """
+def _prefix_off_target(source: ClopenSet, target: ClopenSet, x: EPPoint) -> Word:
+    """nu = x.prefix(m) for the least m >= max(source.depth, 2) whose cylinder
+    does not contain the nonempty target.  Some m <= max(source.depth, 2,
+    target.depth + n) qualifies.  Were the target inside the cylinder of
+    x.prefix(m) with m >= target.depth + n, the n or more symbols past a
+    target code word would be forced, each the only successor of the one
+    before.  A forced chain of n steps repeats a symbol; the cycle between,
+    which nothing leaves, would hold every symbol of the irreducible
+    matrix, making it a permutation."""
     matrix = source.matrix
-    if source.is_empty or target.is_empty:
-        raise EmptyInput("source and target must be nonempty")
-    if not source.contains_point(x):
-        raise PreconditionFailed("the marked point does not lie in the source set")
     start = max(source.depth, 2)
     bound = max(start, target.depth + matrix.n)
     for m in range(start, bound + 1):
         nu = x.prefix(m)
-        hood = cylinder(matrix, nu)
-        if not target.is_subset_of(hood):
-            return hood, cylinder_involution(matrix, nu, target)
+        if not target.is_subset_of(cylinder(matrix, nu)):
+            return nu
     raise SearchLimitExceeded(
         f"the target lies in the cylinder of x's prefix of length {bound}; "
         "is the matrix a permutation?"
     )
+
+
+def involution_into(
+    source: ClopenSet, target: ClopenSet, x: EPPoint
+) -> tuple[ClopenSet, TableMap]:
+    """(V, alpha): V the cylinder of nu = :func:`_prefix_off_target`, around
+    x inside the source, and alpha the :func:`cylinder_involution` of nu
+    into the target, built as its swap, since nu meets its conditions."""
+    if source.is_empty or target.is_empty:
+        raise EmptyInput("source and target must be nonempty")
+    if not source.contains_point(x):
+        raise PreconditionFailed("the marked point does not lie in the source set")
+    matrix = source.matrix
+    nu = _prefix_off_target(source, target, x)
+    return cylinder(matrix, nu), cylinder_swap(matrix, nu, _landing_word(matrix, nu, target))
 
 
 def check_involution_into(
@@ -278,6 +278,13 @@ def _disjoint_corners(target: ClopenSet, count: int) -> list[ClopenSet]:
     )
 
 
+def _landings(words: Sequence[Word], target: ClopenSet) -> list[tuple[Word, Word]]:
+    """Each word paired with its :func:`_landing_word` in its own corner of
+    the target, the corners of :func:`_disjoint_corners` in order."""
+    corners = _disjoint_corners(target, len(words))
+    return [(w, _landing_word(target.matrix, w, c)) for w, c in zip(words, corners)]
+
+
 def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
     """An involution carrying a whole clopen set into a disjoint clopen set.
 
@@ -291,10 +298,8 @@ def clopen_transport(source: ClopenSet, target: ClopenSet) -> TableMap:
         raise EmptyInput("source and target must be nonempty")
     if not source.intersection(target).is_empty:
         raise NotDisjoint("source and target intersect")
-    sources = matched_partition(TableMap.identity(matrix), source)
-    corners = _disjoint_corners(target, len(sources))
-    pairs = [(w, _landing_word(matrix, w, c)) for (w, _), c in zip(sources, corners)]
-    return cylinder_permutation(matrix, pairs).reduce()
+    sources = [w for w, _ in matched_partition(TableMap.identity(matrix), source)]
+    return cylinder_permutation(matrix, _landings(sources, target)).reduce()
 
 
 def check_clopen_transport(
@@ -317,10 +322,9 @@ def paired_transport(
 ) -> tuple[list[ClopenSet], list[ClopenSet], list[TableMap], list[TableMap]]:
     """Split equivalent sets u inside a region and v = gamma(u) outside it
     into matched cylinder partitions, with involutions moving the pieces
-    into w (inside, staying local to the region) and w2 (outside).
-
-    Returns (u_parts, v_parts, alphas, betas).
-    """
+    into w (inside, staying local to the region) and w2 (outside): each
+    piece has length >= 2 and misses its target, so its swap into a corner
+    is its cylinder involution.  Returns (u_parts, v_parts, alphas, betas)."""
     matrix = region.matrix
     for name, pred in [
         ("U nonempty", not u.is_empty),
@@ -340,16 +344,8 @@ def paired_transport(
     pairs = matched_partition(gamma, u)
     u_parts = [cylinder(matrix, a) for a, _ in pairs]
     v_parts = [cylinder(matrix, b) for _, b in pairs]
-    corners_w = _disjoint_corners(w, len(pairs))
-    corners_w2 = _disjoint_corners(w2, len(pairs))
-    alphas = [
-        cylinder_involution(matrix, a, corner)
-        for (a, _), corner in zip(pairs, corners_w)
-    ]
-    betas = [
-        cylinder_involution(matrix, b, corner)
-        for (_, b), corner in zip(pairs, corners_w2)
-    ]
+    alphas = [cylinder_swap(matrix, *p) for p in _landings([a for a, _ in pairs], w)]
+    betas = [cylinder_swap(matrix, *p) for p in _landings([b for _, b in pairs], w2)]
     return u_parts, v_parts, alphas, betas
 
 
@@ -408,12 +404,12 @@ def minimality_source(u: ClopenSet, v: ClopenSet) -> ClopenSet:
 
 
 def minimality_witness(u: ClopenSet, v: ClopenSet) -> TableMap:
-    """A group element carrying the effective source into the target set."""
+    """The identity when the effective source lies in v, else its transport."""
     if u.is_empty or v.is_empty:
         raise EmptyInput("both clopen sets must be nonempty")
-    if u.is_subset_of(v):
-        return TableMap.identity(u.matrix)
     source = minimality_source(u, v)
+    if source.is_subset_of(v):
+        return TableMap.identity(u.matrix)
     return clopen_transport(source, v)
 
 
@@ -502,6 +498,11 @@ def _disjoint_moved_cylinder(eta: TableMap) -> ClopenSet:
     raise SearchLimitExceeded("no moved cylinder found; is the element trivial?")
 
 
+def _moves_points_of(eta: TableMap, clopen: ClopenSet) -> bool:
+    """Whether the set meets a moved code word's cylinder, so eta's support."""
+    return any(clopen.meets_word(nu) for nu, rho in zip(eta.domain, eta.images) if rho != nu)
+
+
 def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableMap:
     """A local element gamma such that the conjugate of eta by gamma moves
     points of u.  When eta already moves points of u the identity is a
@@ -510,6 +511,9 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
     Otherwise u misses eta's support S, and Y lies inside S.  eta(S) = S,
     since a point is moved exactly when its image is; so Y and eta(Y)
     miss u, and u's corner U1 and rest U2 serve whole as the sources.
+    Words of U1 and U2 go into Y and eta(Y) as in :func:`involution_into`;
+    the four cylinders lie in the pairwise disjoint U1, Y, U2 and eta(Y),
+    so the two swaps are one table, the reduced code of their composite.
     """
     matrix = eta.matrix
     if u.is_empty:
@@ -520,25 +524,27 @@ def localize_conjugate(eta: TableMap, u: ClopenSet, region: ClopenSet) -> TableM
         raise PreconditionFailed("eta must be nontrivial")
     if not eta.in_local_subgroup(region):
         raise PreconditionFailed("eta must be local to the region")
-    support = eta.support()
-    if not support.intersection(u).is_empty:
+    if _moves_points_of(eta, u):
         return TableMap.identity(matrix)
     u1 = _disjoint_corners(u, 2)[0]
     u2 = u.difference(u1)
     y = _disjoint_moved_cylinder(eta)
-    v1, alpha = involution_into(u1, y, point_in(u1))
-    bridge = eta.image_clopen(alpha.image_clopen(v1))
-    v2, beta = involution_into(u2, bridge, point_in(u2))
-    return alpha.compose(beta)
+    nu1 = _prefix_off_target(u1, y, point_in(u1))
+    lambda1 = _landing_word(matrix, nu1, y)
+    bridge = eta.image_clopen(cylinder(matrix, lambda1))
+    nu2 = _prefix_off_target(u2, bridge, point_in(u2))
+    lambda2 = _landing_word(matrix, nu2, bridge)
+    return cylinder_permutation(matrix, [(nu1, lambda1), (nu2, lambda2)]).reduce()
 
 
 def check_localize_conjugate(
     eta: TableMap, u: ClopenSet, region: ClopenSet, gamma: TableMap
 ) -> list[tuple[str, bool]]:
-    conj = eta.conjugate_by(gamma)
+    """supp(gamma^-1 eta gamma) = gamma^-1(supp eta), and U is open, so the
+    conjugate moves a point of U exactly when gamma(U) meets supp eta."""
     return [
         ("gamma local to the region", gamma.in_local_subgroup(region)),
-        ("conjugate moves points of U", not conj.support().intersection(u).is_empty),
+        ("conjugate moves points of U", _moves_points_of(eta, gamma.image_clopen(u))),
     ]
 
 

@@ -251,10 +251,6 @@ class TableMap:
     def commutes(self, other: "TableMap") -> bool:
         return self.compose(other) == other.compose(self)
 
-    def conjugate_by(self, gamma: "TableMap") -> "TableMap":
-        """gamma^-1 . self . gamma"""
-        return gamma.inverse().compose(self).compose(gamma)
-
     # -- refinement ---------------------------------------------------------
 
     def refine_to(self, depth: int) -> "TableMap":

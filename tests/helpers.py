@@ -17,9 +17,10 @@ from fullshift import (
     TransitionMatrix,
     canonicalize_clopen,
     cylinder,
+    point_in,
     validate_matrix,
 )
-from fullshift.constructions import cylinder_swap
+from fullshift.constructions import cylinder_swap, involution_into
 from fullshift.invariants import determinant
 from fullshift.sft import connect_path, first_return, format_word
 from fullshift.tables import validate_images
@@ -458,6 +459,20 @@ def moved_cylinder_oracle(table: TableMap, cap: int = 64):
     return None
 
 
+def localize_conjugate_oracle(eta: TableMap, u: ClopenSet) -> TableMap:
+    """The former library recipe for ``constructions.localize_conjugate`` on
+    a nonempty u that eta does not move: u's corner U1 and rest U2 each go
+    through the public ``involution_into``, U1 into the moved cylinder Y and
+    U2 into eta of U1's image, and the two involutions are composed."""
+    u1 = proper_subcylinder_oracle(u)
+    u2 = u.difference(u1)
+    y = moved_cylinder_oracle(eta)
+    v1, alpha = involution_into(u1, y, point_in(u1))
+    bridge = eta.image_clopen(alpha.image_clopen(v1))
+    _, beta = involution_into(u2, bridge, point_in(u2))
+    return alpha.compose(beta)
+
+
 def landing_word_oracle(matrix: TransitionMatrix, nu, target: ClopenSet):
     """The partner of nu in a cylinder involution into the target, by the
     former library walk: the least target word disjoint from nu at the
@@ -771,18 +786,32 @@ def uniform_inverse_oracle(table: TableMap):
 
 
 def uniform_order_oracle(table: TableMap, bound: int, entry_cap: int = 4096):
-    """Least k <= bound with the k-th power trivial, by repeated uniform
-    composition, with the same cap on power sizes as TableMap.order."""
+    """Least k <= bound with the k-th power trivial, by repeated composition
+    with the uniform view of the reduced table.  Each power is kept as its
+    reduced code, found by :func:`merge_families_oracle`, and the answer is
+    None once that code has more than entry_cap words: the cap of
+    TableMap.order, which counts the same code.  A power's code word is
+    extended only until its image reaches the view's depth, so no view of
+    a power is built: an element of infinite order has powers whose
+    reduced depth grows with k, and whose views would grow exponentially."""
     matrix = table.matrix
-    g = table_from(matrix, *uniform_reduce_oracle(matrix, table.depth, uniform_view_oracle(table)))
-    if all(v == w for w, v in code_of(g).items()):
+    depth, view = uniform_reduce_oracle(matrix, table.depth, uniform_view_oracle(table))
+    if all(v == w for w, v in view.items()):
         return 1
-    acc = g
+    power = view
     for k in range(2, bound + 1):
-        acc = table_from(matrix, *uniform_compose_oracle(g, acc))
-        if all(v == w for w, v in code_of(acc).items()):
+        pieces, stack = {}, list(power.items())
+        while stack:
+            nu, rho = stack.pop()
+            if len(rho) >= depth:
+                pieces[nu] = view[rho[:depth]] + rho[depth:]
+            else:
+                succ = matrix.successors(rho[-1]) if rho else matrix.symbols()
+                stack.extend((nu + (a,), rho + (a,)) for a in succ)
+        power = merge_families_oracle(matrix, pieces)
+        if all(v == w for w, v in power.items()):
             return k
-        if len(acc.domain) > entry_cap:
+        if len(power) > entry_cap:
             return None
     return None
 

@@ -4,6 +4,7 @@ conditions of the statement it realizes."""
 import random
 import time
 import tracemalloc
+from collections import Counter
 from math import inf
 
 import pytest
@@ -15,6 +16,7 @@ from fullshift import (
     NotDisjoint,
     PreconditionFailed,
     TableMap,
+    canonicalize_clopen,
     cylinder,
     empty_set,
     full_space,
@@ -52,7 +54,7 @@ from fullshift.constructions import (
 )
 from fullshift.invariants import maps_onto_candidates
 from fullshift.sft import TransitionMatrix, first_return, format_word, least_gap
-from fullshift.tables import validate_images, validate_table
+from fullshift.tables import format_table_text, validate_images, validate_table
 
 from helpers import (
     DENSE3,
@@ -65,9 +67,11 @@ from helpers import (
     RING3,
     SMALL_POOL,
     assert_sorted_form,
+    code_of,
     enumerate_points,
     ep_apply_oracle,
     landing_word_oracle,
+    localize_conjugate_oracle,
     long_cycle,
     matched_partition_oracle,
     minimality_source_oracle,
@@ -76,10 +80,14 @@ from helpers import (
     proper_subcylinder_oracle,
     random_clopen,
     random_cycles,
+    random_general_table,
     random_matrix,
     random_table,
     search_order_oracle,
     swap_inside,
+    table_from,
+    uniform_compose_oracle,
+    uniform_inverse_oracle,
     uniform_view_oracle,
     words_oracle,
 )
@@ -517,6 +525,39 @@ def test_paired_transport_example():
         paired_transport(region, u, cylinder(FULL2, (1, 2)), w, w2, gamma)
 
 
+def test_paired_transport_swaps_are_the_cylinder_involutions_into_the_corners():
+    # each alpha_i and beta_i is built as a swap, without the input checks
+    # of cylinder_involution; it is that involution of the piece into its
+    # corner, the corners of _disjoint_corners taken in order
+    rng = random.Random(44)
+    checked = several = 0
+    while checked < 120:
+        matrix = rng.choice(POOL + [FULL3])
+        region = random_clopen(rng, matrix, 2, proper=True)
+        complement = region.complement()
+        u = random_clopen(rng, matrix, 2).intersection(region)
+        if u.is_empty or u == region:
+            continue
+        w = random_clopen(rng, matrix, 2).intersection(region).difference(u)
+        w = w if not w.is_empty else region.difference(u)
+        gamma = clopen_transport(u, complement)
+        v = gamma.image_clopen(u)
+        w2 = complement.difference(v)
+        if w2.is_empty:
+            continue
+        us, vs, alphas, betas = paired_transport(region, u, v, w, w2, gamma)
+        pairs = matched_partition(gamma, u)
+        corners, corners2 = (_disjoint_corners(t, len(pairs)) for t in (w, w2))
+        expected = [cylinder_involution(matrix, a, c) for (a, _), c in zip(pairs, corners)]
+        assert alphas == expected, (matrix, region, u, w)
+        expected = [cylinder_involution(matrix, b, c) for (_, b), c in zip(pairs, corners2)]
+        assert betas == expected, (matrix, region, u, w2)
+        assert_all(check_paired_transport(region, u, v, w, w2, gamma, us, vs, alphas, betas))
+        checked += 1
+        several += len(pairs) > 1
+    assert several > 40
+
+
 def test_minimality_witness_examples():
     u, v = cylinder(FULL2, (1, 1)), cylinder(FULL2, (2, 2))
     gamma = minimality_witness(u, v)
@@ -596,6 +637,79 @@ def test_localize_conjugate_examples():
 
     with pytest.raises(PreconditionFailed):
         localize_conjugate(TableMap.identity(FULL2), u, region)
+
+
+def _localize_cases(rng, count, miss_support=True):
+    """Seeded 3.11 inputs (eta, U, O) over POOL and FULL3: eta a swap inside
+    O or a product of two, U a random set inside O, drawn outside the
+    support of eta when miss_support is set, so that a conjugator is built."""
+    cases = []
+    while len(cases) < count:
+        matrix = rng.choice(POOL + [FULL3])
+        region = random_clopen(rng, matrix, max_depth=2)
+        first, second = swap_inside(rng, region), swap_inside(rng, region)
+        if first is None:
+            continue
+        eta = first if second is None or rng.random() < 0.5 else first.compose(second)
+        if eta.is_identity:
+            continue
+        u = random_clopen(rng, matrix, max_depth=3).intersection(region)
+        if miss_support:
+            u = u.difference(eta.support())
+        if not u.is_empty:
+            cases.append((eta, u, region))
+    return cases
+
+
+def test_localize_conjugate_is_the_former_compose_of_two_involutions():
+    # the conjugator is one table permuting four disjoint cylinders; the
+    # former recipe composed two involution_into results, and gives the
+    # same element with the same reduced code, so the same text
+    for eta, u, region in _localize_cases(random.Random(311), 160):
+        gamma = localize_conjugate(eta, u, region)
+        expected = localize_conjugate_oracle(eta, u)
+        assert not gamma.is_identity
+        assert gamma == expected, (eta, u)
+        assert format_table_text(gamma) == format_table_text(expected), (eta, u)
+        assert_all(check_localize_conjugate(eta, u, region, gamma))
+
+
+def test_localize_check_answers_what_the_built_conjugate_does():
+    # "conjugate moves points of U" asks whether gamma(U) meets a moved
+    # code word of eta; the oracle builds gamma^-1 eta gamma from uniform
+    # views and intersects its support with U
+    rng = random.Random(3110)
+    seen = Counter()
+    cases = _localize_cases(rng, 60) + _localize_cases(rng, 60, miss_support=False)
+    for eta, u, region in cases:
+        matrix = eta.matrix
+        gammas = [random_table(rng, matrix), random_general_table(rng, matrix)]
+        gammas.append(localize_conjugate(eta, u, region))
+        for gamma in gammas:
+            inverse = table_from(matrix, *uniform_inverse_oracle(gamma))
+            after = table_from(matrix, *uniform_compose_oracle(eta, gamma))
+            conj = code_of(table_from(matrix, *uniform_compose_oracle(inverse, after)))
+            support = canonicalize_clopen(matrix, [w for w, r in conj.items() if r != w])
+            got = dict(check_localize_conjugate(eta, u, region, gamma))
+            assert got["conjugate moves points of U"] == (not support.intersection(u).is_empty)
+            seen[got["conjugate moves points of U"]] += 1
+    assert seen[True] > 50 and seen[False] > 50, seen
+
+
+def test_localize_conjugate_and_its_check_compose_nothing(monkeypatch):
+    cases = _localize_cases(random.Random(12), 40)
+    calls = Counter()
+    for name in ("compose", "inverse"):
+        def counting(self, *args, _name=name, _method=getattr(TableMap, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(TableMap, name, counting)
+    for eta, u, region in cases:
+        gamma = localize_conjugate(eta, u, region)
+        assert not gamma.is_identity
+        assert_all(check_localize_conjugate(eta, u, region, gamma))
+    assert calls == Counter()
 
 
 def test_witness_search_finds_swap():

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import is named somewhere in its
-module, no library module imports another's private name, and every
-function of ``tests/helpers.py`` has a caller.  Package ``__init__``
-modules are exempt from the first rule: their imports are the package's
-re-exports."""
+module, no library module imports another's private name, every function
+of ``tests/helpers.py`` has a caller, and every function and method of the
+library is named outside its own body.  Package ``__init__`` modules are
+exempt from the first rule: their imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -115,3 +115,64 @@ def test_every_helper_has_a_caller():
     tests = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
     assert len(tests) > 5
     assert uncalled_helpers((ROOT / "tests" / "helpers.py").read_text(), tests) == []
+
+
+def referenced(tree: ast.AST) -> set[str]:
+    """The names of :func:`names_in`, and every string constant that is an
+    identifier: the benchmark looks library functions up with ``getattr``."""
+    strings = {
+        n.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier()
+    }
+    return names_in(tree) | strings
+
+
+def is_cli_handler(node: ast.FunctionDef) -> bool:
+    """Whether a ``@_command(...)`` decorator registers the function."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_command"
+        for d in node.decorator_list
+    )
+
+
+def dead_definitions(library: list[str], others: list[str]) -> list[str]:
+    """The top-level functions and the methods of top-level classes of the
+    library modules that no module refers to outside their own body.
+    Dunders and the registered CLI handlers are exempt."""
+    named = set().union(*(referenced(ast.parse(source)) for source in others))
+    defined = []
+    for source in library:
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if not isinstance(member, ast.FunctionDef):
+                    named |= referenced(member)
+                    continue
+                named |= referenced(member) - {member.name}
+                dunder = member.name.startswith("__") and member.name.endswith("__")
+                if not dunder and not is_cli_handler(member):
+                    defined.append(member.name)
+    return [name for name in defined if name not in named]
+
+
+def test_dead_definitions_are_caught():
+    library = [
+        "def a(): return b()\ndef b(): return 1\ndef c(): return c()\n"
+        "@_command('run')\ndef d(): ...\nTABLE = {'e': 1}\ndef e(): ...\n",
+        "class K:\n    def __init__(self): ...\n    def m(self): return self.m()\n"
+        "    def n(self): ...\n    def p(self): ...\ndef q(): ...\n",
+    ]
+    others = ["from lib import a\nk.n()\ngetattr(lib, 'q')\n"]
+    assert dead_definitions(library, others) == ["c", "m", "p"]
+
+
+def test_every_library_function_is_named_outside_its_body():
+    library = [path.read_text() for path in sorted((ROOT / "src" / "fullshift").glob("*.py"))]
+    others = [
+        path.read_text()
+        for folder in ("tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert len(library) > 5 and len(others) > 10
+    assert dead_definitions(library, others) == []

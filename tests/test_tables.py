@@ -621,8 +621,7 @@ def test_sparse_arithmetic_matches_uniform_oracle_on_free_pairs():
         _assert_matches_oracle(psi.compose(phi), *uniform_compose_oracle(psi, phi))
         _assert_matches_oracle(phi.compose(phi), *uniform_compose_oracle(phi, phi))
         assert psi.order(3) == uniform_order_oracle(psi, 3) == 2
-        # phi^2 has 3^8 uniform entries on FULL3, past the oracle's default cap
-        assert phi.order(4) == 3 == uniform_order_oracle(phi, 4, entry_cap=6 * phi.entry_count())
+        assert phi.order(4) == 3 == uniform_order_oracle(phi, 4)
 
 
 def test_order_matches_the_oracle_on_elements_beyond_products_of_swaps():
