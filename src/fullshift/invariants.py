@@ -1,9 +1,13 @@
 """The pointed cokernel invariant and the decisions built on it.
 
-For an ambient matrix A of size N the group is the cokernel of A^t - I_N
+For an ambient matrix A of size N the group is the cokernel of M = A^t - I_N
 acting on integer vectors, computed exactly through a Smith normal form
-P (A^t - I_N) Q = S: P is kept, to read coordinates; Q is checked, and the
-check's determinant gives det(I - A).  The class of the all-ones vector is
+P M Q = S; P is kept, to read coordinates.  det M is computed first, and
+gives det(I - A).  When it is nonzero, P is kept modulo D = |det M| beside
+P^-1 mod D, no Q is kept, and a certificate of the nontrivial coordinates
+checks the result (see :func:`_check_cokernel`).  A singular M, whose
+cokernel has free rank, keeps the exact path: Q is kept and P M Q = S is
+checked over the integers.  The class of the all-ones vector is
 distinguished: full groups of two shifts are isomorphic exactly when the
 pointed groups match and det(I - A) = det(I - B).  The source paper shows
 that the full groups are isomorphic exactly when the one-sided shifts are
@@ -53,18 +57,41 @@ def smith_normal_form(
 
     Every call re-checks the result exactly, see :func:`_check_snf`.
     """
-    s, p, q, _ = _smith_normal_form(mat)
+    s, p, q = _smith_normal_form(mat)
+    _check_snf(mat, s, p, q)
     return s, p, q
 
 
-def _smith_normal_form(mat: list[list[int]]):
-    """:func:`smith_normal_form` and det(mat), which its check computes
-    (None for a non-square input)."""
+def _smith_normal_form(mat: list[list[int]], modulus: int = 0):
+    """The elimination of :func:`smith_normal_form`, unchecked.
+
+    Without a modulus it returns (S, P, Q), exact, with the column moves
+    mirrored into Q.  With a modulus D, which must be |det mat| > 0, it
+    returns (S, P mod D, C) and keeps no Q: the rows of C are the columns
+    of P^-1 mod D, and each row move on P is mirrored as the inverse
+    column move on P^-1.  The pivot rule reads only S, so S and every row
+    of P modulo its diagonal entry, which divides D, are those of the exact
+    path, while P's entries stay below D instead of growing with the
+    elimination (Kannan-Bachem, SIAM J. Comput. 8, 1979; Domich-Kannan-
+    Trotter, Math. Oper. Res. 12, 1987).  :func:`_check_cokernel`
+    certifies that result.
+    """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     s = [list(r) for r in mat]
     p = [[int(i == j) for j in range(rows)] for i in range(rows)]
     q = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    if modulus:
+        # row t of c is column t of P^-1; no column move is mirrored
+        p = [[a % modulus for a in r] for r in p]
+        c, q = [list(r) for r in p], []
+
+        def combine(a, k, b):  # a + k b, reduced
+            return [(x + k * y) % modulus for x, y in zip(a, b)]
+    else:
+        def combine(a, k, b):
+            return [x + k * y for x, y in zip(a, b)]
+
     for t in range(min(rows, cols)):
         while True:
             # first entry of least absolute value; nothing is less than 1
@@ -85,30 +112,37 @@ def _smith_normal_form(mat: list[list[int]]):
             if i != t:
                 s[t], s[i] = s[i], s[t]
                 p[t], p[i] = p[i], p[t]
+                if modulus:
+                    c[t], c[i] = c[i], c[t]
             if j != t:
-                for r in s:
-                    r[t], r[j] = r[j], r[t]
-                for r in q:
+                for r in s + q:
                     r[t], r[j] = r[j], r[t]
             st, pt = s[t], p[t]
             d = st[t]
             dirty = False
+            cleared = []
             for i in range(t + 1, rows):
                 k = s[i][t] // d
                 if k:
                     s[i] = [a - k * b for a, b in zip(s[i], st)]
-                    p[i] = [a - k * b for a, b in zip(p[i], pt)]
+                    p[i] = combine(p[i], -k, pt)
+                    cleared.append((k, i))
                 if s[i][t]:
                     dirty = True
+            if modulus and cleared:  # column t of P^-1 gains k column i for each move
+                ct = c[t]
+                for k, i in cleared:
+                    ct = [a + k * b for a, b in zip(ct, c[i])]
+                c[t] = [a % modulus for a in ct]
             # column t stays as it is while the columns right of it are
             # reduced, so every multiple can be read before any move
             moves = [(j, k) for j in range(t + 1, cols) if (k := st[j] // d)]
             if moves:
                 for r in s + q:
-                    c = r[t]
-                    if c:
+                    x = r[t]
+                    if x:
                         for j, k in moves:
-                            r[j] -= k * c
+                            r[j] -= k * x
             if dirty or any(st[t + 1 :]):
                 continue
             if d in (1, -1):  # a unit divides every entry
@@ -118,26 +152,27 @@ def _smith_normal_form(mat: list[list[int]]):
             )
             if offender is None:
                 break
-            so, po = s[offender], p[offender]
-            s[t] = [a + b for a, b in zip(st, so)]
-            p[t] = [a + b for a, b in zip(pt, po)]
+            s[t] = [a + b for a, b in zip(st, s[offender])]
+            p[t] = combine(pt, 1, p[offender])
+            if modulus:
+                c[offender] = combine(c[offender], -1, c[t])
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
-            p[t] = [-a for a in p[t]]
-    return s, p, q, _check_snf(mat, s, p, q)
+            p[t] = combine([0] * rows, -1, p[t])  # 0 - row t
+            if modulus:
+                c[t] = combine([0] * rows, -1, c[t])
+    return s, p, c if modulus else q
 
 
-def _check_snf(mat, s, p, q):
+def _check_snf(mat, s, p, q) -> None:
     """Raise AssertionError unless P * mat * Q = S, S is diagonal with a
-    divisibility chain and its zeros last, and P and Q are unimodular;
-    return det(mat) for a square input, else None.
+    divisibility chain and its zeros last, and P and Q are unimodular.
 
     P * mat * Q = S gives det P * det mat * det Q = d_1 ... d_r for a
     square input.  So when that product is nonzero, |d_1 ... d_r| =
     |det mat| forces |det P| = |det Q| = 1, and one determinant of the
     input certifies both transforms.  Singular and non-square inputs have
-    det P and det Q computed; a square one then has det mat = 0, because
-    S has a zero on its diagonal and P and Q are invertible."""
+    det P and det Q computed."""
     rows, cols = len(mat), len(mat[0]) if mat else 0
     if _mat_mul(_mat_mul(p, mat), q) != s:
         raise AssertionError("smith normal form transform identity failed")
@@ -151,14 +186,43 @@ def _check_snf(mat, s, p, q):
             raise AssertionError("smith normal form zero ordering failed")
     product = prod(diag)
     if rows == cols and product:
-        det = determinant(mat)
-        unimodular = abs(product) == abs(det)
+        unimodular = abs(product) == abs(determinant(mat))
     else:
-        det = 0 if rows == cols else None
         unimodular = abs(determinant(p)) == 1 and abs(determinant(q)) == 1
     if not unimodular:
         raise AssertionError("smith normal form transforms are not unimodular")
-    return det
+
+
+def _check_cokernel(mat, s, p, c, modulus: int) -> None:
+    """Raise AssertionError unless the diagonal of S and the rows of P
+    present coker(mat) for a square mat with |det mat| = `modulus` > 0,
+    where the rows of c are the columns of P^-1 mod `modulus`.
+
+    Let phi(x) = (P_i x mod d_i) over the live rows, those with d_i >= 2.
+    (a) The d_i are positive, each divides the next, and their product
+        is `modulus`.
+    (b) P_i mat = 0 mod d_i for each live row, so phi kills the image of
+        mat and factors through coker(mat).
+    (c) (P P^-1)_ji = delta_ij mod d_j for live i and j, so phi carries
+        column i of P^-1 to the i-th basis vector: phi is onto.
+    (d) |coker(mat)| = |det mat| = d_1 ... d_n, the order of the sum of
+        the Z/d_i, so phi is an isomorphism onto it.
+    With k live rows, (b) costs k n^2 and (c) k^2 n; S enters only
+    through its diagonal, and no product of n-by-n matrices is formed.
+    """
+    diag = [s[i][i] for i in range(len(mat))]
+    if min(diag, default=1) < 1 or any(b % a for a, b in zip(diag, diag[1:])):
+        raise AssertionError("cokernel diagonal is not a positive divisibility chain")
+    if prod(diag) != modulus:
+        raise AssertionError("cokernel diagonal does not multiply to |det|")
+    live = [i for i, d in enumerate(diag) if d >= 2]
+    columns = list(zip(*mat))
+    for i in live:
+        if any(sum(map(mul, p[i], col)) % diag[i] for col in columns):
+            raise AssertionError("a cokernel coordinate does not vanish on the image")
+    for j in live:
+        if any((sum(map(mul, p[j], c[i])) - (i == j)) % diag[j] for i in live):
+            raise AssertionError("cokernel coordinates are not onto")
 
 
 def _mat_mul(a, b):
@@ -203,9 +267,11 @@ class BFGroup:
     `diag` is the full diagonal; entries equal to 1 are trivial, entries
     >= 2 are the invariant factors, zeros contribute free rank.  `p_rows`
     is the row transform P of the Smith form P (A^t - I) Q; it carries an
-    integer vector to its coordinates in the new basis.
-    `det` is det(A^t - I), read off the Smith form's check, so
-    det(I - A) = (-1)^n det; None for a group not built from a matrix.
+    integer vector to its coordinates in the new basis.  For a finite
+    cokernel it holds P modulo |det|, which each invariant factor divides,
+    so every torsion coordinate is unchanged.
+    `det` is det(A^t - I), so det(I - A) = (-1)^n det; None for a group
+    not built from a matrix.
     """
 
     n: int
@@ -279,10 +345,20 @@ class GroupElement:
 
 
 def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
-    """The cokernel of A^t - I_N with the class of the all-ones vector."""
+    """The cokernel of A^t - I_N with the class of the all-ones vector.
+
+    det M, for M = A^t - I_N, is computed first: a nonzero one is the
+    modulus of the Smith form and of its certificate, and no other
+    determinant is computed."""
     n = matrix.n
     m = [[v - (i == j) for j, v in enumerate(col)] for i, col in enumerate(zip(*matrix.entries))]
-    s, p, _, det = _smith_normal_form(m)
+    det = determinant(m)
+    if det:
+        s, p, inverse_columns = _smith_normal_form(m, abs(det))
+        _check_cokernel(m, s, p, inverse_columns, abs(det))
+    else:  # a cokernel with free rank has no modulus
+        s, p, q = _smith_normal_form(m)
+        _check_snf(m, s, p, q)
     diag = tuple(s[i][i] for i in range(n))
     group = BFGroup(n, diag, tuple(tuple(r) for r in p), det)
     unit = group.element([1] * n)
@@ -316,26 +392,33 @@ class PointedDecision:
     reason: str
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _vp(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def _coprime_base(numbers) -> set[int]:
+    """Pairwise coprime integers > 1 such that each of the positive
+    `numbers` is a product of their powers, found by gcd refinement: a
+    base element b and a number x with g = gcd(b, x) > 1 are replaced by
+    b/g, g and x/g, which divides the product of all the numbers held by
+    g, so the refinement ends."""
+    base = set()
+    todo = [x for x in numbers if x > 1]
+    while todo:
+        x = todo.pop()
+        for b in base:
+            g = gcd(b, x)
+            if g > 1:
+                base.remove(b)
+                todo.extend(y for y in (b // g, g, x // g) if y > 1)
+                break
+        else:
+            base.add(x)
+    return base
 
 
 def _torsion_match(
@@ -359,22 +442,31 @@ def _torsion_match(
     components with w_i >= v lie in p^v T_p and drop out; every pair they
     dominate also has w >= v, so the undominated pairs with w_i < v decide
     the orbit of x + p^v T_p.
+
+    No number is factored.  Over a coprime base of the invariant factors,
+    the nonzero components and g, a prime p dividing the base element q
+    has v_p(x) = v_q(x) v_p(q) for each of those numbers.  Scaling every
+    valuation by v_p(q) keeps each comparison above, so the pairs taken
+    with v_q decide the orbit for every prime of q at once.
     """
-    for p in {p for d in torsion for p in _prime_factors(d)}:
-        v = _vp(modulus, p) if modulus else inf
-        if _primary_type(torsion, a, p, v) != _primary_type(torsion, b, p, v):
-            return False
+    a = tuple(c % d for c, d in zip(a, torsion))
+    b = tuple(c % d for c, d in zip(b, torsion))
+    for q in _coprime_base([*torsion, *a, *b, modulus]):
+        if any(d % q == 0 for d in torsion):
+            v = _vp(modulus, q) if modulus else inf
+            if _primary_type(torsion, a, q, v) != _primary_type(torsion, b, q, v):
+                return False
     return True
 
 
-def _primary_type(torsion: tuple[int, ...], x: tuple[int, ...], p: int, v: float) -> set:
-    """The undominated pairs (v_p(x_i), e_i), e_i = v_p(torsion[i]), of the nonzero
-    p-primary components x_i = x mod p^e_i of x with v_p(x_i) < v."""
+def _primary_type(torsion: tuple[int, ...], x: tuple[int, ...], q: int, v: float) -> set:
+    """The undominated pairs (v_q(x_i), e_i), e_i = v_q(torsion[i]), of the
+    components x_i of x, reduced into [0, torsion[i]), with
+    v_q(x_i) < min(e_i, v); a zero component has no pair."""
     kept = set()
     for d, c in zip(torsion, x):
-        e = _vp(d, p)
-        c %= p**e  # 0 when p does not divide d
-        if c and (w := _vp(c, p)) < v:
+        e = _vp(d, q)
+        if c and (w := _vp(c, q)) < min(e, v):
             kept.add((w, e))
     return {
         (w, e)

@@ -1193,6 +1193,40 @@ def _prime_list(n):
     return out
 
 
+def _vp_oracle(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def torsion_match_oracle(torsion, a, b, modulus) -> bool:
+    """``invariants._torsion_match`` as first written: the orbit invariant
+    prime by prime, with every invariant factor factored by trial division.
+    Exact, and slow once a factor has a large prime divisor."""
+    inf = float("inf")
+
+    def primary_type(x, p, v):
+        kept = set()
+        for d, c in zip(torsion, x):
+            e = _vp_oracle(d, p)
+            c %= p**e
+            if c and (w := _vp_oracle(c, p)) < v:
+                kept.add((w, e))
+        return {
+            (w, e)
+            for w, e in kept
+            if not any((w2, e2) != (w, e) and w2 <= w and e2 - w2 >= e - w for w2, e2 in kept)
+        }
+
+    for p in {p for d in torsion for p in _prime_list(d)}:
+        v = _vp_oracle(modulus, p) if modulus else inf
+        if primary_type(a, p, v) != primary_type(b, p, v):
+            return False
+    return True
+
+
 def invariant_factor_lists(limit: int):
     """All chains d1 | d2 | ... with product <= limit, entries >= 2."""
     out = [()]

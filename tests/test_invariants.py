@@ -1,8 +1,13 @@
 """Cokernel invariants: Smith form, pointed groups, equivalence decisions."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +24,14 @@ from fullshift import (
     smith_normal_form,
     validate_matrix,
 )
+from fullshift.sft import format_matrix_text
+from fullshift.cli import run
 from fullshift.constructions import _candidate_images
 from fullshift.invariants import (
     BFGroup,
+    _check_cokernel,
     _check_snf,
+    _smith_normal_form,
     _torsion_match,
     determinant,
     maps_onto_candidates,
@@ -49,6 +58,7 @@ from helpers import (
     search_order_oracle,
     shift_determinant_oracle,
     smith_normal_form_oracle,
+    torsion_match_oracle,
 )
 
 
@@ -108,6 +118,224 @@ def test_check_snf_catches_transforms_that_are_not_unimodular():
         p[-1] = [2 * a for a in p[-1]]
         with pytest.raises(AssertionError, match="not unimodular"):
             _check_snf(mat, s, p, q)
+
+
+def _shift_matrix(matrix):
+    """A^t - I, the matrix whose cokernel ``bowen_franks`` presents."""
+    n = matrix.n
+    return [[matrix.arc(j + 1, i + 1) - (i == j) for j in range(n)] for i in range(n)]
+
+
+def _modular_corpus():
+    rng = random.Random(28)
+    yield from POOL + [FULL3]
+    for n in [*range(2, 17), 24, 32, 48, 64]:
+        for _ in range(6 if n <= 16 else 2):
+            yield random_matrix(rng, n)
+    for _ in range(40):
+        a = random_matrix(rng, rng.randint(2, 5))
+        yield a
+        yield block_presentation(a, rng.choice([2, 3]))
+        state = rng.choice([s for s in a.symbols() if len(a.successors(s)) >= 2])
+        followers = a.successors(state)
+        yield out_split(a, state, set(rng.sample(followers, rng.randint(1, len(followers) - 1))))
+
+
+def test_modular_path_agrees_with_the_exact_path():
+    # the pivot rule reads only S, so reducing P modulo |det| changes
+    # neither S nor any live row of P modulo its diagonal entry
+    oracle_checked = trivial = 0
+    for matrix in _modular_corpus():
+        m = _shift_matrix(matrix)
+        det = determinant(m)
+        if not det:
+            continue
+        s, p, inverse_columns = _smith_normal_form(m, abs(det))
+        _check_cokernel(m, s, p, inverse_columns, abs(det))
+        exact_s, exact_p, exact_q = _smith_normal_form(m)
+        _check_snf(m, exact_s, exact_p, exact_q)
+        if matrix.n <= 12:
+            assert (exact_s, exact_p, exact_q) == smith_normal_form_oracle(m)
+            oracle_checked += 1
+        assert s == exact_s, matrix.entries
+        diag = [s[i][i] for i in range(matrix.n)]
+        for row, exact_row, d in zip(p, exact_p, diag):
+            assert all(0 <= a < abs(det) for a in row)
+            if d >= 2:
+                assert [a % d for a in row] == [a % d for a in exact_row], matrix.entries
+        exact_group = BFGroup(matrix.n, tuple(diag), tuple(map(tuple, exact_p)), det)
+        group, unit = bowen_franks(matrix)
+        assert group.diag == exact_group.diag and group.det == det
+        assert unit.coords == exact_group.element([1] * matrix.n).coords
+        for i in range(matrix.n):
+            basis = [int(i == j) for j in range(matrix.n)]
+            assert group.element(basis).coords == exact_group.element(basis).coords
+        trivial += abs(det) == 1
+    assert oracle_checked > 100 and trivial
+
+
+def _live_case():
+    """A^t - I of a seeded matrix whose cokernel has a trivial and a live
+    coordinate, with its modular Smith form."""
+    rng = random.Random(5)
+    while True:
+        m = _shift_matrix(random_matrix(rng, 6))
+        det = abs(determinant(m))
+        if det >= 6:
+            s, p, inverse_columns = _smith_normal_form(m, det)
+            _check_cokernel(m, s, p, inverse_columns, det)
+            return m, s, p, inverse_columns, det
+
+
+def test_check_cokernel_rejects_mutants():
+    m, s, p, inverse_columns, det = _live_case()
+    n = len(m)
+    diag = [s[i][i] for i in range(n)]
+    live = [i for i, d in enumerate(diag) if d >= 2]
+    i = live[-1]
+
+    def rejects(s=s, p=p, inverse_columns=inverse_columns, modulus=det, match=""):
+        with pytest.raises(AssertionError, match=match):
+            _check_cokernel(m, s, p, inverse_columns, modulus)
+
+    # a trivial row of P is a row of a unimodular matrix times P M, whose
+    # entries have gcd 1: added once to a live row, it survives mod d_i
+    bad = [list(r) for r in p]
+    bad[i] = [(a + b) % det for a, b in zip(p[i], p[0])]
+    rejects(p=bad, match="does not vanish")
+    # a live column of P^-1 moved off its basis vector
+    c = next(c for c, a in enumerate(p[i]) if a % diag[i])
+    bad = [list(r) for r in inverse_columns]
+    bad[i][c] += 1
+    rejects(inverse_columns=bad, match="not onto")
+    # a zeroed live row vanishes on the image but hits nothing
+    bad = [list(r) for r in p]
+    bad[i] = [0] * n
+    rejects(p=bad, match="not onto")
+    # a diagonal whose product is not |det M|, chain kept
+    bad = [list(r) for r in s]
+    bad[i][i] *= 2
+    rejects(s=bad, match="multiply")
+    rejects(modulus=2 * det, match="multiply")
+    # a broken divisibility chain, product kept
+    bad = [list(r) for r in s]
+    bad[i - 1][i - 1], bad[i][i] = bad[i][i], bad[i - 1][i - 1]
+    assert bad[i][i] == 1
+    rejects(s=bad, match="divisibility")
+
+
+def test_bowen_franks_checks_a_finite_cokernel_without_q(monkeypatch):
+    # a finite cokernel runs the modular path and its certificate, with no
+    # exact product P M Q; a singular one keeps the exact check
+    import fullshift.invariants as inv
+
+    checks = []
+    monkeypatch.setattr(inv, "_check_snf", lambda *args: checks.append("snf"))
+    monkeypatch.setattr(
+        inv, "_check_cokernel", lambda *args: checks.append(("cokernel", args[-1]))
+    )
+    bowen_franks(FULL3)
+    assert checks == [("cokernel", 2)]
+    singular = next(
+        m for m in (random_matrix(random.Random(seed), 5) for seed in range(200))
+        if shift_determinant_oracle(m) == 0
+    )
+    checks.clear()
+    group, _ = bowen_franks(singular)
+    assert checks == ["snf"] and group.free_rank
+
+
+def test_bf_on_112_states_within_budget(tmp_path, capsys):
+    # the exact transforms took about 19 s here, their entries thousands of
+    # digits long; modulo |det| they stay below it
+    matrix = random_matrix(random.Random(4), 112)
+    path = tmp_path / "a.mat"
+    path.write_text(format_matrix_text(matrix))
+    start = time.perf_counter()
+    assert run(["bf", str(path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr().out
+    assert f"DET: {shift_determinant_oracle(matrix)}\n" in out
+
+
+def test_decide_iso_with_a_large_prime_in_the_torsion_within_budget(tmp_path):
+    # the torsion of this 64-state draw has a prime factor above 10^18, so
+    # factoring it by trial division would not finish; a subprocess with a
+    # timeout turns such a hang into a failure
+    matrix = random_matrix(random.Random(1), 64)
+    group, _ = bowen_franks(matrix)
+    rough = group.torsion[-1]
+    for p in range(2, 10**4):
+        while rough % p == 0:
+            rough //= p
+    assert rough > 10**18 and pow(2, rough - 1, rough) == 1
+    perm = list(range(matrix.n))
+    random.Random(2).shuffle(perm)
+    conjugate = validate_matrix(
+        [[matrix.entries[perm[i]][perm[j]] for j in range(matrix.n)] for i in range(matrix.n)]
+    )
+    paths = []
+    for name, m in (("a.mat", matrix), ("b.mat", conjugate)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(format_matrix_text(m))
+    src = str(Path(bowen_franks.__code__.co_filename).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fullshift", "decide-iso", *map(str, paths)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "VERDICT: ISOMORPHIC\n" in proc.stdout
+
+
+def test_torsion_match_against_trial_division_oracle():
+    # chains over small primes and a few larger ones, elements drawn freely
+    # or as unit multiples, moduli from 0, divisors of the factors and
+    # free draws: the coprime base must decide as the primes do
+    rng = random.Random(81)
+    primes = [2, 3, 5, 7, 101, 9973]
+    seen = set()
+    for _ in range(6000):
+        chain, d = [], 1
+        for _ in range(rng.randint(1, 3)):
+            d *= prod(rng.choice(primes) for _ in range(rng.randint(1, 3)))
+            chain.append(d)
+        torsion = tuple(chain)
+        a = tuple(rng.randrange(d) * rng.choice([1, 1, 2, 3, 4, 9]) for d in torsion)
+        if rng.random() < 0.5:
+            b = tuple(rng.randrange(d) for d in torsion)
+        else:
+            unit = next(u for u in iter(lambda: rng.randrange(1, 10**6), 0) if gcd(u, torsion[-1]) == 1)
+            b = tuple(c * unit for c in a)
+        modulus = rng.choice([0, 0, torsion[0], rng.randrange(1, 50), rng.choice(primes) ** 2])
+        want = torsion_match_oracle(torsion, a, b, modulus)
+        assert _torsion_match(torsion, a, b, modulus=modulus) == want, (torsion, a, b, modulus)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_torsion_match_without_factoring():
+    # cyclic groups whose factors trial division would not reach: of order
+    # 3 * 4967 * 4516963039493, and a product of two primes near 10^18
+    start = time.perf_counter()
+    d = 3 * 4967 * 4516963039493
+    assert _torsion_match((d,), (1,), (d - 1,), modulus=0)
+    assert not _torsion_match((d,), (1,), (3,), modulus=0)
+    # modulo 3T only the 3-part is left, where 3 is 0 and 1 is not;
+    # modulo (d/3) T the 3-part drops and 3 is a unit elsewhere
+    assert not _torsion_match((d,), (1,), (3,), modulus=3)
+    assert _torsion_match((d,), (1,), (3,), modulus=d // 3)
+    p, q = 10**18 + 9, 10**18 + 3
+    d = p * q
+    assert _torsion_match((d,), (1,), (3,), modulus=0)
+    assert _torsion_match((d,), (p,), (5 * p,), modulus=0)
+    # p and q are each 0 in one primary part and a unit in the other
+    assert not _torsion_match((d,), (p,), (q,), modulus=0)
+    assert not _torsion_match((d,), (p,), (q,), modulus=p)
+    assert _torsion_match((d,), (p,), (q,), modulus=1)
+    # both of order q in the q-part Z/q + Z/q, and 0 in the p-part
+    assert _torsion_match((q, d), (0, p), (p, 0), modulus=0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_smith_normal_form_matches_sympy():
