@@ -2,12 +2,16 @@
 
 For an ambient matrix A of size N the group is the cokernel of M = A^t - I_N
 acting on integer vectors, computed exactly through a Smith normal form
-P M Q = S; P is kept, to read coordinates.  det M is computed first, and
-gives det(I - A).  When it is nonzero, P is kept modulo D = |det M| beside
-P^-1 mod D, no Q is kept, and a certificate of the nontrivial coordinates
-checks the result (see :func:`_check_cokernel`).  A singular M, whose
-cokernel has free rank, keeps the exact path: Q is kept and P M Q = S is
-checked over the integers.  The class of the all-ones vector is
+P M Q = S; rows of P are kept, to read coordinates.  The elimination moves
+S alone and logs its row moves; the rows of P and columns of P^-1 a caller
+needs are read off the log by replaying it backwards.  det M is computed
+first, and gives det(I - A).  When it is nonzero, no Q is kept and only
+the live rows of P (those with d_i >= 2) and the same columns of P^-1 are
+replayed, modulo D = |det M|; a certificate of those coordinates checks
+the result (see :func:`_check_cokernel`).  A singular M, whose cokernel
+has free rank, keeps the exact path: Q is kept, every row of P is
+replayed exactly and P M Q = S is checked over the integers.  The class
+of the all-ones vector is
 distinguished: full groups of two shifts are isomorphic exactly when the
 pointed groups match and det(I - A) = det(I - B).  The source paper shows
 that the full groups are isomorphic exactly when the one-sided shifts are
@@ -57,41 +61,33 @@ def smith_normal_form(
 
     Every call re-checks the result exactly, see :func:`_check_snf`.
     """
-    s, p, q = _smith_normal_form(mat)
+    s, moves, q = _smith_normal_form(mat, with_q=True)
+    p, _ = _replay(moves, len(mat), range(len(mat)))
     _check_snf(mat, s, p, q)
     return s, p, q
 
 
-def _smith_normal_form(mat: list[list[int]], modulus: int = 0):
+def _smith_normal_form(mat: list[list[int]], with_q: bool = False):
     """The elimination of :func:`smith_normal_form`, unchecked.
 
-    Without a modulus it returns (S, P, Q), exact, with the column moves
-    mirrored into Q.  With a modulus D, which must be |det mat| > 0, it
-    returns (S, P mod D, C) and keeps no Q: the rows of C are the columns
-    of P^-1 mod D, and each row move on P is mirrored as the inverse
-    column move on P^-1.  The pivot rule reads only S, so S and every row
-    of P modulo its diagonal entry, which divides D, are those of the exact
-    path, while P's entries stay below D instead of growing with the
-    elimination (Kannan-Bachem, SIAM J. Comput. 8, 1979; Domich-Kannan-
-    Trotter, Math. Oper. Res. 12, 1987).  :func:`_check_cokernel`
-    certifies that result.
+    Returns (S, moves, Q).  The loop moves S alone, and Q beside it when
+    `with_q` is set (otherwise Q is empty).  P is not formed: each row
+    move is appended to `moves` instead, as ``(a, k, b)`` for
+    ``row_a += k row_b``, ``(a, None, b)`` for a swap of rows a and b, and
+    ``(a, -1, None)`` for ``row_a = -row_a``.  :func:`_replay` reads the
+    rows of P and the columns of P^-1 that a caller needs off that log,
+    walking it backwards.  The pivot rule reads only S, so the moves are
+    the same whatever P holds, and the log can be replayed modulo
+    |det mat| when that is nonzero: the entries then stay below it instead
+    of growing with the elimination (Kannan-Bachem, SIAM J. Comput. 8,
+    1979; Domich-Kannan-Trotter, Math. Oper. Res. 12, 1987).  A caller that
+    reads one row pays for one row, not for all of P after every move.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     s = [list(r) for r in mat]
-    p = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    q = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    if modulus:
-        # row t of c is column t of P^-1; no column move is mirrored
-        p = [[a % modulus for a in r] for r in p]
-        c, q = [list(r) for r in p], []
-
-        def combine(a, k, b):  # a + k b, reduced
-            return [(x + k * y) % modulus for x, y in zip(a, b)]
-    else:
-        def combine(a, k, b):
-            return [x + k * y for x, y in zip(a, b)]
-
+    q = [[int(i == j) for j in range(cols)] for i in range(cols)] if with_q else []
+    moves = []
     for t in range(min(rows, cols)):
         while True:
             # first entry of least absolute value; nothing is less than 1
@@ -111,37 +107,28 @@ def _smith_normal_form(mat: list[list[int]], modulus: int = 0):
             i, j = pivot
             if i != t:
                 s[t], s[i] = s[i], s[t]
-                p[t], p[i] = p[i], p[t]
-                if modulus:
-                    c[t], c[i] = c[i], c[t]
+                moves.append((t, None, i))
             if j != t:
                 for r in s + q:
                     r[t], r[j] = r[j], r[t]
-            st, pt = s[t], p[t]
+            st = s[t]
             d = st[t]
             dirty = False
-            cleared = []
             for i in range(t + 1, rows):
                 k = s[i][t] // d
                 if k:
                     s[i] = [a - k * b for a, b in zip(s[i], st)]
-                    p[i] = combine(p[i], -k, pt)
-                    cleared.append((k, i))
+                    moves.append((i, -k, t))
                 if s[i][t]:
                     dirty = True
-            if modulus and cleared:  # column t of P^-1 gains k column i for each move
-                ct = c[t]
-                for k, i in cleared:
-                    ct = [a + k * b for a, b in zip(ct, c[i])]
-                c[t] = [a % modulus for a in ct]
             # column t stays as it is while the columns right of it are
             # reduced, so every multiple can be read before any move
-            moves = [(j, k) for j in range(t + 1, cols) if (k := st[j] // d)]
-            if moves:
+            col_moves = [(j, k) for j in range(t + 1, cols) if (k := st[j] // d)]
+            if col_moves:
                 for r in s + q:
                     x = r[t]
                     if x:
-                        for j, k in moves:
+                        for j, k in col_moves:
                             r[j] -= k * x
             if dirty or any(st[t + 1 :]):
                 continue
@@ -153,15 +140,47 @@ def _smith_normal_form(mat: list[list[int]], modulus: int = 0):
             if offender is None:
                 break
             s[t] = [a + b for a, b in zip(st, s[offender])]
-            p[t] = combine(pt, 1, p[offender])
-            if modulus:
-                c[offender] = combine(c[offender], -1, c[t])
+            moves.append((t, 1, offender))
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
-            p[t] = combine([0] * rows, -1, p[t])  # 0 - row t
-            if modulus:
-                c[t] = combine([0] * rows, -1, c[t])
-    return s, p, c if modulus else q
+            moves.append((t, -1, None))
+    return s, moves, q
+
+
+def _replay(moves, n: int, wanted, modulus: int = 0):
+    """Rows `wanted` of the P of a logged elimination on n rows, with the
+    same columns of P^-1, reduced into [0, `modulus`) unless it is 0.
+
+    Returns two lists of n rows: row i of P, and column i of P^-1 written
+    as a row, for each i in `wanted`; every other index holds zeros.  With
+    the logged moves E_1, ..., E_m, P = E_m ... E_1, so row i of P is
+    e_i E_m ... E_1 and column i of P^-1 is E_1^-1 ... E_m^-1 e_i: both
+    apply the moves last to first.  For ``row_a += k row_b`` a row v of P
+    takes ``v_b += k v_a`` and a column u of P^-1 takes ``u_a -= k u_b``; a
+    swap exchanges two entries of each, and a negation flips one.  Each
+    move touches one entry of each vector, so the cost is the number of
+    moves times the number of indices wanted.
+    """
+    p = [[0] * n for _ in range(n)]
+    inverse_columns = [[0] * n for _ in range(n)]
+    for i in wanted:
+        v = p[i]
+        u = inverse_columns[i]
+        v[i] = u[i] = 1 % modulus if modulus else 1
+        for a, k, b in reversed(moves):
+            if k is None:
+                v[a], v[b] = v[b], v[a]
+                u[a], u[b] = u[b], u[a]
+            elif b is None:
+                v[a] = -v[a] % modulus if modulus else -v[a]
+                u[a] = -u[a] % modulus if modulus else -u[a]
+            elif modulus:
+                v[b] = (v[b] + k * v[a]) % modulus
+                u[a] = (u[a] - k * u[b]) % modulus
+            else:
+                v[b] += k * v[a]
+                u[a] -= k * u[b]
+    return p, inverse_columns
 
 
 def _check_snf(mat, s, p, q) -> None:
@@ -266,10 +285,13 @@ class BFGroup:
 
     `diag` is the full diagonal; entries equal to 1 are trivial, entries
     >= 2 are the invariant factors, zeros contribute free rank.  `p_rows`
-    is the row transform P of the Smith form P (A^t - I) Q; it carries an
-    integer vector to its coordinates in the new basis.  For a finite
-    cokernel it holds P modulo |det|, which each invariant factor divides,
-    so every torsion coordinate is unchanged.
+    holds rows of the row transform P of the Smith form P (A^t - I) Q; row
+    i carries an integer vector to its i-th coordinate in the new basis.
+    For a finite cokernel only the live rows (d_i >= 2) are held, modulo
+    |det|, which each invariant factor divides, so every torsion
+    coordinate is unchanged; a trivial row (d_i = 1) holds zeros, as its
+    coordinate in Z/1 is 0 whatever the row.  With free rank every row of
+    P is held exactly.
     `det` is det(A^t - I), so det(I - A) = (-1)^n det; None for a group
     not built from a matrix.
     """
@@ -348,16 +370,19 @@ def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
     """The cokernel of A^t - I_N with the class of the all-ones vector.
 
     det M, for M = A^t - I_N, is computed first: a nonzero one is the
-    modulus of the Smith form and of its certificate, and no other
-    determinant is computed."""
+    modulus of the replayed live rows and of their certificate, and no
+    other determinant is computed."""
     n = matrix.n
     m = [[v - (i == j) for j, v in enumerate(col)] for i, col in enumerate(zip(*matrix.entries))]
     det = determinant(m)
     if det:
-        s, p, inverse_columns = _smith_normal_form(m, abs(det))
+        s, moves, _ = _smith_normal_form(m)
+        live = [i for i in range(n) if s[i][i] >= 2]
+        p, inverse_columns = _replay(moves, n, live, abs(det))
         _check_cokernel(m, s, p, inverse_columns, abs(det))
     else:  # a cokernel with free rank has no modulus
-        s, p, q = _smith_normal_form(m)
+        s, moves, q = _smith_normal_form(m, with_q=True)
+        p, _ = _replay(moves, n, range(n))
         _check_snf(m, s, p, q)
     diag = tuple(s[i][i] for i in range(n))
     group = BFGroup(n, diag, tuple(tuple(r) for r in p), det)
