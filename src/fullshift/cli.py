@@ -443,7 +443,8 @@ def _bf(args, report: Report) -> None:
     report.add("INVARIANT-FACTORS", " ".join(map(str, group.torsion)) or "none")
     report.add("FREE-RANK", group.free_rank)
     report.add("UNIT-CLASS", " ".join(map(str, unit.coords)))
-    report.add("UNIT-ORDER", unit.order() if unit.order() is not None else "infinite")
+    order = unit.order()
+    report.add("UNIT-ORDER", "infinite" if order is None else order)
     report.add("DET", group.shift_determinant)
 
 

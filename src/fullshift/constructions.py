@@ -170,25 +170,21 @@ def matched_partition(gamma: TableMap, u: ClopenSet) -> list[tuple[Word, Word]]:
 
     Each code word of u is cut along the domain of gamma's reduced code,
     so every piece lies in one domain cylinder and is carried onto a
-    cylinder by a prefix rewrite; a pair with a side shorter than 2 is
-    then split into its children.  The pairs are the shallowest words
-    inside u with both properties, in sorted order.
+    cylinder by a prefix rewrite; a pair with a side shorter than 2 then
+    gets the same extensions on both sides.  The pairs are the shallowest
+    words inside u with both properties, sorted as ``cut`` and
+    ``extensions`` give them.
     """
     matrix = gamma.matrix
     g = gamma.reduce()
-    pending = []
+    pairs = []
     for c in u.code:
         for nu, i in cut(matrix, g.domain, c):
-            pending.append((nu, g.images[i] + nu[len(g.domain[i]):]))
-    pairs = []
-    while pending:
-        nu, rho = pending.pop()
-        if len(nu) < 2 or len(rho) < 2:
-            succ = matrix.successors(nu[-1] if nu else 0)
-            pending.extend((nu + (a,), rho + (a,)) for a in succ)
-        else:
-            pairs.append((nu, rho))
-    return sorted(pairs)
+            rho = g.images[i] + nu[len(g.domain[i]):]
+            k = len(nu)
+            ext = matrix.extensions(nu, k + max(0, 2 - k, 2 - len(rho)))
+            pairs += [(w, rho + w[k:]) for w in ext]
+    return pairs
 
 
 def swap_involution(u: ClopenSet, v: ClopenSet, gamma: TableMap) -> TableMap:

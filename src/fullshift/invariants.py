@@ -9,10 +9,10 @@ first, and gives det(I - A).  When it is nonzero, no Q is kept and only
 the live rows of P (those with d_i >= 2) and the same columns of P^-1 are
 replayed, modulo D = |det M|; a certificate of those coordinates checks
 the result (see :func:`_check_cokernel`).  A singular M, whose cokernel
-has free rank, keeps the exact path: Q is kept, every row of P is
-replayed exactly and P M Q = S is checked over the integers.  The class
-of the all-ones vector is
-distinguished: full groups of two shifts are isomorphic exactly when the
+has free rank, takes the exact path, :func:`smith_normal_form` itself:
+Q is kept, every row of P is replayed exactly and P M Q = S is checked
+over the integers.  The class of the all-ones vector is distinguished:
+full groups of two shifts are isomorphic exactly when the
 pointed groups match and det(I - A) = det(I - B).  The source paper shows
 that the full groups are isomorphic exactly when the one-sided shifts are
 continuously orbit equivalent, and Matsumoto-Matui (Kyoto J. Math. 54,
@@ -381,9 +381,7 @@ def bowen_franks(matrix: TransitionMatrix) -> tuple[BFGroup, GroupElement]:
         p, inverse_columns = _replay(moves, n, live, abs(det))
         _check_cokernel(m, s, p, inverse_columns, abs(det))
     else:  # a cokernel with free rank has no modulus
-        s, moves, q = _smith_normal_form(m, with_q=True)
-        p, _ = _replay(moves, n, range(n))
-        _check_snf(m, s, p, q)
+        s, p, _ = smith_normal_form(m)
     diag = tuple(s[i][i] for i in range(n))
     group = BFGroup(n, diag, tuple(tuple(r) for r in p), det)
     unit = group.element([1] * n)

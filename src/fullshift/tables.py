@@ -389,8 +389,7 @@ def validate_table(matrix: TransitionMatrix, raw_entries: Mapping) -> TableMap:
     domain = tuple(sorted(w for w in entries if matrix.is_admissible(w)))
     missing = least_gap(matrix, domain)
     if missing is not None:
-        while len(missing) < depth:
-            missing += (matrix.successors(missing[-1])[0] if missing else 1,)
+        missing = next(matrix.extensions(missing, depth))
         raise BadDomain(f"domain misses word {format_word(missing)}")
     if len(domain) < len(entries):
         raise BadDomain(f"domain has bad word {format_word(min(entries.keys() - set(domain)))}")

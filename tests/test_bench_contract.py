@@ -2,6 +2,7 @@
 name.  A traced call in each layer must still reach its counter, so a
 rename that the tracer would miss fails here rather than in ``--trace 1``."""
 
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -12,7 +13,15 @@ import fullshift.invariants as inv
 import fullshift.sft as sft
 from fullshift.sft import cylinder
 
-from helpers import FULL2, GOLDEN, cylinder_swap, table_from
+from helpers import (
+    FULL2,
+    FULL3,
+    GOLDEN,
+    cylinder_swap,
+    random_matrix,
+    shift_determinant_oracle,
+    table_from,
+)
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -123,6 +132,20 @@ def test_tracer_spans_both_file_writers(tmp_path):
             totals = tracer.totals()
             assert totals["cli.format"][0] == 2, argv
             assert totals["cli.parse"][0] == 2, argv
+
+
+def test_tracer_spans_the_exact_smith_path_of_bowen_franks():
+    # a singular M takes the exact path, which is smith_normal_form itself:
+    # one invariants.smith_normal_form span; a finite cokernel runs the
+    # unchecked elimination modulo |det| and opens none
+    singular = next(
+        m for m in (random_matrix(random.Random(seed), 5) for seed in range(200))
+        if shift_determinant_oracle(m) == 0
+    )
+    for matrix, spans in ((singular, 1), (FULL3, 0)):
+        with traced() as tracer:
+            inv.bowen_franks(matrix)
+        assert tracer.totals().get("invariants.smith_normal_form", (0,))[0] == spans, matrix
 
 
 def test_bench_selftest_passes():

@@ -864,3 +864,18 @@ def test_matched_partition_matches_walk_oracle():
     full = full_space(FULL2)
     identity = TableMap.identity(FULL2)
     assert matched_partition(identity, full) == matched_partition_oracle(identity, full)
+    # the order of the pairs comes from cut and extensions, not from a sort:
+    # general tables, deeper sets, a branching matrix and the whole space
+    rng = random.Random(30)
+    for n in range(400):
+        matrix = rng.choice(POOL + [FULL3])
+        gamma = (random_general_table if n % 2 else random_table)(rng, matrix)
+        u = full_space(matrix) if n % 10 == 0 else random_clopen(
+            rng, matrix, max_depth=rng.choice([1, 2, 4, 6])
+        )
+        pairs = matched_partition(gamma, u)
+        assert pairs == matched_partition_oracle(gamma, u), (matrix, u, gamma)
+        # the domain words as given, the images once sorted
+        for words in ([nu for nu, _ in pairs], sorted(rho for _, rho in pairs)):
+            for a, b in zip(words, words[1:]):
+                assert a < b and b[: len(a)] != a, (matrix, u, gamma, a, b)
